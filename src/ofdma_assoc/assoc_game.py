@@ -9,14 +9,13 @@ enumeration and the dynamic mechanism both ride on that cache.
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import (CA, CAPA, CA_PF, cell_members, reported_rates,
-                           solve_cell)
+from .per_bs_alloc import CAPA, cells_of, reported_rates, solve_cell
 
 STRICT_TOL = 1e-12
 ENUM_CAP = 10 ** 7
@@ -26,22 +25,17 @@ ENUM_CAP = 10 ** 7
 class GameMode:
     strategy: str = CAPA          # CA | CAPA | CA-PF
     taxed: bool = True            # False reproduces the taxless game
-    objective: str = "throughput"  # throughput | pf
-
-    def __post_init__(self):
-        if self.objective == "pf" and self.strategy != CA_PF:
-            raise InvalidArgumentError("PF objective requires the CA-PF strategy")
 
 
 @dataclass
 class CellResult:
-    value: float                  # weighted cell objective from reports
+    value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
-    feasible: bool = True
 
 
 class Evaluator:
-    """Memoized per-cell solves for a fixed instance / reports / mode."""
+    """Memoized per-cell solves for a fixed instance / reports / mode, plus
+    the member sets of the last profile queried."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -49,6 +43,8 @@ class Evaluator:
         self.mode = mode
         self.reports = net.normalized_gain() if reports is None else np.asarray(reports, float)
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
+        self._cells_key: Optional[Tuple[int, ...]] = None
+        self._cells: Tuple[FrozenSet[int], ...] = ()
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)
@@ -62,24 +58,17 @@ class Evaluator:
             rates = reported_rates(self.net, alloc, self.reports)
             for u in users:
                 rates.setdefault(u, 0.0)
-            alpha = self.net.weight[w]
-            if self.mode.objective == "pf":
-                served = [u for u in users if u not in alloc.pf_excluded]
-                if any(rates[u] <= 0.0 for u in served):
-                    res = CellResult(-math.inf, rates, feasible=False)
-                else:
-                    res = CellResult(alpha * sum(math.log(rates[u]) for u in served),
-                                     rates)
-            else:
-                res = CellResult(alpha * sum(rates.values()), rates)
+            res = CellResult(self.net.weight[w] * sum(rates.values()), rates)
         self._cache[key] = res
         return res
 
-    def cells_of(self, a: Sequence[int]) -> List[FrozenSet[int]]:
-        sets: List[set] = [set() for _ in range(self.net.num_bss)]
-        for i, w in enumerate(a):
-            sets[w].add(i)
-        return [frozenset(s) for s in sets]
+    def cells_of(self, a: Sequence[int]) -> Tuple[FrozenSet[int], ...]:
+        """Per-BS member sets of profile `a`, reused while the profile
+        queried stays the same."""
+        key = tuple(a)
+        if key != self._cells_key:
+            self._cells_key, self._cells = key, cells_of(a, self.net.num_bss)
+        return self._cells
 
     def system_value(self, a: Sequence[int]) -> float:
         return sum(self.cell(w, s).value for w, s in enumerate(self.cells_of(a)))
@@ -87,8 +76,6 @@ class Evaluator:
     def utility_in(self, i: int, w: int, members: FrozenSet[int]) -> float:
         """Utility of user i if cell w's user set were `members` (i included)."""
         with_i = self.cell(w, members)
-        if not with_i.feasible:
-            return -math.inf
         if not self.mode.taxed:
             return with_i.rates.get(i, 0.0)
         without_i = self.cell(w, members - {i})
@@ -96,13 +83,11 @@ class Evaluator:
 
     def utility(self, a: Sequence[int], i: int) -> float:
         w = a[i]
-        members = frozenset(j for j, wj in enumerate(a) if wj == w)
-        return self.utility_in(i, w, members)
+        return self.utility_in(i, w, self.cells_of(a)[w])
 
     def move_utility(self, a: Sequence[int], i: int, w: int) -> float:
         """Utility of user i after a unilateral move to BS w."""
-        members = frozenset(j for j, wj in enumerate(a) if wj == w and j != i) | {i}
-        return self.utility_in(i, w, members)
+        return self.utility_in(i, w, self.cells_of(a)[w] | {i})
 
 
 def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:

@@ -7,7 +7,7 @@ with a uniform sample from it; the run stops once the profile has stayed
 constant for M+1 consecutive iterations.
 """
 
-import math
+import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
@@ -16,7 +16,7 @@ import numpy as np
 
 from .assoc_game import Evaluator, GameMode, better_reply_set, is_ne
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import cell_members, realized_rates, solve_cell
+from .per_bs_alloc import cells_of, solve_cell
 
 
 @dataclass
@@ -92,12 +92,12 @@ def init_state(net: NetworkInstance, memory_len: int,
 
 def _record(net: NetworkInstance, state: MechanismState, ev: Evaluator,
             event: Optional[str] = None) -> None:
-    a = state.profile
+    a = tuple(int(x) for x in state.profile)
     per_bs = tuple(ev.cell(w, s).value
                    for w, s in enumerate(ev.cells_of(a)))
     utils = tuple(ev.utility(a, i) for i in range(net.num_users))
     state.trace.append(TraceRecord(
-        iteration=state.iteration, profile=tuple(int(x) for x in a),
+        iteration=state.iteration, profile=a,
         throughput=float(sum(per_bs)), bs_throughput=per_bs,
         utilities=utils, event=event))
 
@@ -109,16 +109,15 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     the evaluator), then every user simultaneously pushes a better reply
     into its memory and samples its next association from the memory."""
     ev = evaluator if evaluator is not None else Evaluator(net, mode, reports)
-    a = state.profile
-    frozen = a.copy()
-    next_a = a.copy()
+    frozen = tuple(int(x) for x in state.profile)
+    next_a = state.profile.copy()
     for i in range(net.num_users):
         br = better_reply_set(net, frozen, i, mode, ev,
                               margin=float(state.costs[i]))
         if br:
             w_star = int(br[state.rng.integers(0, len(br))])
         else:
-            w_star = int(frozen[i])
+            w_star = frozen[i]
         state.memories[i].appendleft(w_star)
         mem = state.memories[i]
         next_a[i] = mem[state.rng.integers(0, len(mem))]
@@ -153,9 +152,12 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
         check_ne: bool = True) -> RunResult:
     """Iterate the mechanism until the stopping rule fires or max_iter is
     reached.  With `interference`, per-user noise entries are refreshed from
-    the other cells' latest power allocations before each BS round."""
+    the other cells' latest power allocations before each BS round; the
+    noise refresh works on a copy, so the caller's instance is unchanged."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
+    if interference:
+        net = dataclasses.replace(net, noise=net.noise.copy())
     state = init_state(net, memory_len, costs, seed)
     ev = Evaluator(net, mode, reports)
     _record(net, state, ev)
@@ -163,10 +165,9 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     iterations = max_iter
     for _ in range(max_iter):
         if interference:
-            allocs = {w: solve_cell(net, w, cell_members(state.profile, w),
-                                    ev.reports, mode.strategy)
-                      for w in range(net.num_bss)
-                      if cell_members(state.profile, w)}
+            allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
+                      for w, users in enumerate(cells_of(state.profile, net.num_bss))
+                      if users}
             update_interference_noise(net, state.profile, allocs)
             ev = Evaluator(net, mode, reports)
         step(net, state, mode, ev)
@@ -175,10 +176,11 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
             converged = True
             iterations = state.iteration
             break
+    profile = tuple(int(x) for x in state.profile)
     ne = None
     if check_ne and converged and not interference:
-        ne = is_ne(net, state.profile, mode, ev)
-    return RunResult(profile=tuple(int(x) for x in state.profile),
+        ne = is_ne(net, profile, mode, ev)
+    return RunResult(profile=profile,
                      trace=state.trace, converged=converged,
                      iterations=iterations, is_ne=ne)
 
@@ -257,9 +259,10 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
     """Refresh noise entries in place: thermal floor plus, on each of the
     serving BS's channels, the co-subcarrier transmit powers of every other
     BS weighted by the cross gains.  Per-BS channel blocks align by
-    position (same conceptual subcarrier)."""
+    position (same conceptual subcarrier); a BS whose block is too short to
+    have a channel at some position adds no interference there."""
     noise = net.thermal_noise.copy()
-    n_sub = len(net.channels_of_bs[0])
+    n_sub = max(len(chans) for chans in net.channels_of_bs)
     powers = np.zeros((net.num_bss, n_sub))
     for w, alloc in allocations.items():
         powers[w, :len(alloc.power)] = alloc.power
@@ -269,7 +272,7 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
         for pos, k in enumerate(serving):
             interf = 0.0
             for w in range(net.num_bss):
-                if w == w_serv:
+                if w == w_serv or pos >= len(net.channels_of_bs[w]):
                     continue
                 k_other = net.channels_of_bs[w][pos]
                 interf += net.gain[i, k_other] * powers[w, pos]

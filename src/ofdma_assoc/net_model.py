@@ -264,11 +264,13 @@ def gen_indoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstance
 
 def hex_layout(d_km: float, n_cells: int = 7) -> np.ndarray:
     """Center cell plus a ring of six neighbors at distance d."""
+    if not 1 <= n_cells <= 7:
+        raise InvalidArgumentError(f"outdoor layout has 1..7 cells, got {n_cells}")
     pts = [(0.0, 0.0)]
     for j in range(n_cells - 1):
         ang = math.pi / 3.0 * j
         pts.append((d_km * math.cos(ang), d_km * math.sin(ang)))
-    return np.asarray(pts[:n_cells])
+    return np.asarray(pts)
 
 
 def _peda_subcarrier_gains(rng: np.random.Generator, n_sub: int, bw_hz: float) -> np.ndarray:

@@ -10,7 +10,7 @@ to the lowest user index so runs replay deterministically.
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,15 +280,19 @@ def solve_cell(net: NetworkInstance, w: int, users: Iterable[int],
     raise InvalidArgumentError(f"unknown strategy {strategy!r}")
 
 
-def cell_members(a: Sequence[int], w: int) -> List[int]:
-    return [i for i, wi in enumerate(a) if wi == w]
+def cells_of(a: Sequence[int], num_bss: int) -> Tuple[FrozenSet[int], ...]:
+    """Per-BS member sets of the association profile `a`."""
+    sets: List[set] = [set() for _ in range(num_bss)]
+    for i, w in enumerate(a):
+        sets[w].add(i)
+    return tuple(frozenset(s) for s in sets)
 
 
 def bs_throughput(net: NetworkInstance, w: int, a: Sequence[int],
                   reports: np.ndarray, strategy: str) -> float:
     """Weighted realized cell throughput alpha_w * sum of true-channel rates
     under the allocation the BS computes from the reports."""
-    users = cell_members(a, w)
+    users = cells_of(a, net.num_bss)[w]
     if not users:
         return 0.0
     alloc = solve_cell(net, w, users, reports, strategy)

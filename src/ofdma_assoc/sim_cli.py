@@ -27,7 +27,7 @@ from .mechanism import RunResult
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
                         ScenarioConfig, generate, inject_estimation_error,
                         reduce_3sat)
-from .per_bs_alloc import CAPA, cell_members, realized_rates, solve_cell
+from .per_bs_alloc import CAPA, cells_of, realized_rates, solve_cell
 
 ALGORITHMS = ("dbsa", "nearest", "greedy0", "exhaustive", "bound")
 
@@ -113,20 +113,18 @@ def _run_point(campaign: Campaign, d: float, cost: float,
             if alg == "dbsa":
                 res = mechanism.run(net, m, cost, campaign.max_iter, seed,
                                     mode=mode, reports=reports)
-                thr = _realized_throughput(net, res.profile, ev.reports, strategy)
-                row.throughput[alg].append(thr)
+                per_bs, per_user = _realized(net, res.profile, ev.reports, strategy)
+                row.throughput[alg].append(sum(per_bs))
                 row.iterations.append(res.iterations)
                 row.converged.append(res.converged)
                 row.ne_verified.append(bool(res.is_ne))
-                _collect_samples(net, res.profile, ev.reports, strategy, row)
-            elif alg == "nearest":
-                res = baselines.nearest_bs(net, strategy, ev)
-                row.throughput[alg].append(
-                    _realized_throughput(net, res.profile, ev.reports, strategy))
-            elif alg == "greedy0":
-                res = baselines.greedy0(net, strategy, ev)
-                row.throughput[alg].append(
-                    _realized_throughput(net, res.profile, ev.reports, strategy))
+                row.bs_samples.extend(per_bs)
+                row.user_samples.extend(per_user)
+            elif alg in ("nearest", "greedy0"):
+                search = baselines.nearest_bs if alg == "nearest" else baselines.greedy0
+                res = search(net, strategy, ev)
+                per_bs, _ = _realized(net, res.profile, ev.reports, strategy)
+                row.throughput[alg].append(sum(per_bs))
             elif alg == "exhaustive":
                 res = baselines.exhaustive_opt(net, strategy, ev)
                 exhaustive_value = res.throughput
@@ -140,30 +138,21 @@ def _run_point(campaign: Campaign, d: float, cost: float,
     return row
 
 
-def _realized_throughput(net: NetworkInstance, a, reports, strategy) -> float:
-    total = 0.0
-    for w in range(net.num_bss):
-        users = cell_members(a, w)
+def _realized(net: NetworkInstance, a, reports,
+              strategy) -> Tuple[List[float], List[float]]:
+    """Weighted realized throughput per BS and realized rate per user, from
+    one solve of each occupied cell."""
+    per_bs = [0.0] * net.num_bss
+    per_user = [0.0] * net.num_users
+    for w, users in enumerate(cells_of(a, net.num_bss)):
         if not users:
-            continue
-        alloc = solve_cell(net, w, users, reports, strategy)
-        total += net.weight[w] * sum(realized_rates(net, w, alloc, users).values())
-    return total
-
-
-def _collect_samples(net, a, reports, strategy, row: MetricsRow) -> None:
-    user_rates = dict.fromkeys(range(net.num_users), 0.0)
-    for w in range(net.num_bss):
-        users = cell_members(a, w)
-        if not users:
-            row.bs_samples.append(0.0)
             continue
         alloc = solve_cell(net, w, users, reports, strategy)
         rates = realized_rates(net, w, alloc, users)
-        row.bs_samples.append(float(net.weight[w] * sum(rates.values())))
+        per_bs[w] = float(net.weight[w] * sum(rates.values()))
         for u, r in rates.items():
-            user_rates[u] = r
-    row.user_samples.extend(user_rates[i] for i in range(net.num_users))
+            per_user[u] = r
+    return per_bs, per_user
 
 
 def run_campaign(campaign: Campaign) -> List[MetricsRow]:

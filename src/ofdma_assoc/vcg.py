@@ -7,17 +7,12 @@ sampler doubles as the strategy-proofness oracle.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Sequence
 
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import (CA, CAPA, CA_PF, cell_members, realized_rates,
-                           reported_rates, solve_cell)
-
-
-class PFInfeasibleError(ValueError):
-    """A PF cell where some served user ends up with zero rate."""
+from .per_bs_alloc import cells_of, realized_rates, reported_rates, solve_cell
 
 
 @dataclass
@@ -56,29 +51,34 @@ def _as_values(net: NetworkInstance, reports) -> np.ndarray:
     return np.asarray(reports, dtype=float)
 
 
-def _reported_cell_sum(net: NetworkInstance, w: int, users: Sequence[int],
-                       values: np.ndarray, strategy: str,
-                       skip: Optional[int] = None) -> float:
-    """Sum of reported rates in cell w, optionally excluding one user's rate
-    (but keeping it in the allocation)."""
+def _reported_cell_sum(net: NetworkInstance, w: int, users: Iterable[int],
+                       values: np.ndarray, strategy: str) -> float:
+    """Sum of reported rates in cell w."""
     if not users:
         return 0.0
     alloc = solve_cell(net, w, users, values, strategy)
-    rates = reported_rates(net, alloc, values)
-    return sum(r for u, r in rates.items() if u != skip)
+    return sum(reported_rates(net, alloc, values).values())
+
+
+def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
+             values: np.ndarray, strategy: str, without_i: float) -> UserOutcome:
+    """User i's outcome in cell w from one solve on the reports: realized
+    rate, the tax alpha * (without_i - reported rates of the others), and
+    the quasilinear utility alpha * rate - tax.  `without_i` is the reported
+    rate sum of the cell without user i."""
+    alpha = net.weight[w]
+    alloc = solve_cell(net, w, users, values, strategy)
+    rate = realized_rates(net, w, alloc, users).get(i, 0.0)
+    with_i = sum(r for u, r in reported_rates(net, alloc, values).items() if u != i)
+    t = alpha * (without_i - with_i)
+    return UserOutcome(rate=rate, tax=t, utility=alpha * rate - t)
 
 
 def tax(net: NetworkInstance, a: Sequence[int], i: int, reports,
         strategy: str) -> float:
     """Rate improvement the rest of the cell would see if user i departed,
     both terms evaluated from the reported channels."""
-    w = a[i]
-    values = _as_values(net, reports)
-    users = cell_members(a, w)
-    others = [u for u in users if u != i]
-    without_i = _reported_cell_sum(net, w, others, values, strategy)
-    with_i = _reported_cell_sum(net, w, users, values, strategy, skip=i)
-    return net.weight[w] * (without_i - with_i)
+    return utility(net, a, i, reports, strategy).tax
 
 
 def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
@@ -87,15 +87,13 @@ def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
     tax, and the quasilinear utility alpha*rate - tax."""
     w = a[i]
     values = _as_values(net, reports)
-    users = cell_members(a, w)
-    alloc = solve_cell(net, w, users, values, strategy)
-    rate = realized_rates(net, w, alloc, users).get(i, 0.0)
-    t = tax(net, a, i, reports, strategy)
-    return UserOutcome(rate=rate, tax=t, utility=net.weight[w] * rate - t)
+    users = cells_of(a, net.num_bss)[w]
+    without_i = _reported_cell_sum(net, w, users - {i}, values, strategy)
+    return _outcome(net, w, users, i, values, strategy, without_i)
 
 
-def _misreport_row(true_row: np.ndarray, net: NetworkInstance, i: int,
-                   a: Sequence[int], values: np.ndarray,
+def _misreport_row(true_row: np.ndarray, net: NetworkInstance,
+                   mates: Sequence[int], values: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Sample one fabricated report: log-uniform per-channel scalings,
     within-BS channel permutations, or copying a cell mate's gains."""
@@ -108,7 +106,6 @@ def _misreport_row(true_row: np.ndarray, net: NetworkInstance, i: int,
         for chans in net.channels_of_bs:
             row[chans] = row[rng.permutation(chans)]
         return row
-    mates = [u for u in cell_members(a, a[i]) if u != i]
     if not mates:
         return true_row * 10.0 ** rng.uniform(-2.0, 2.0)
     return values[mates[rng.integers(0, len(mates))]].copy()
@@ -125,57 +122,20 @@ def misreport_search(net: NetworkInstance, a: Sequence[int], i: int,
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     base = ReportProfile.truthful_for(net)
-    truthful_u = utility(net, a, i, base, strategy).utility
     w = a[i]
-    alpha = net.weight[w]
-    users = cell_members(a, w)
-    others = [u for u in users if u != i]
+    users = cells_of(a, net.num_bss)[w]
     # the drop-out term of the tax does not depend on user i's report
-    without_i = _reported_cell_sum(net, w, others, base.values, strategy)
+    without_i = _reported_cell_sum(net, w, users - {i}, base.values, strategy)
+    truthful_u = _outcome(net, w, users, i, base.values, strategy,
+                          without_i).utility
+    mates = sorted(users - {i})
     true_row = base.values[i]
     best_gain = -math.inf
     vals = base.values.copy()
     for _ in range(trials):
-        vals[i] = _misreport_row(true_row, net, i, a, base.values, rng)
-        alloc = solve_cell(net, w, users, vals, strategy)
-        rate = realized_rates(net, w, alloc, users).get(i, 0.0)
-        rep = reported_rates(net, alloc, vals)
-        with_i = sum(r for u, r in rep.items() if u != i)
-        t = alpha * (without_i - with_i)
-        gain = (alpha * rate - t) - truthful_u
+        vals[i] = _misreport_row(true_row, net, mates, base.values, rng)
+        gain = _outcome(net, w, users, i, vals, strategy,
+                        without_i).utility - truthful_u
         if gain > best_gain:
             best_gain = gain
     return best_gain
-
-
-def pf_tax_utility(net: NetworkInstance, a: Sequence[int], i: int,
-                   reports=None) -> UserOutcome:
-    """Tax and utility in the proportional-fairness game: log rates replace
-    rates in both difference terms."""
-    w = a[i]
-    values = _as_values(net, reports)
-    users = cell_members(a, w)
-    alpha = net.weight[w]
-
-    def log_rate_sum(members, skip=None):
-        if not members:
-            return 0.0, {}
-        alloc = solve_cell(net, w, members, values, CA_PF)
-        rates = realized_rates(net, w, alloc, members)
-        total = 0.0
-        for u in members:
-            if u == skip or u in alloc.pf_excluded:
-                continue
-            if rates.get(u, 0.0) <= 0.0:
-                raise PFInfeasibleError(f"user {u} has zero PF rate in cell {w}")
-            total += math.log(rates[u])
-        return total, rates
-
-    others = [u for u in users if u != i]
-    without_i, _ = log_rate_sum(others)
-    with_i, rates = log_rate_sum(users, skip=i)
-    if rates.get(i, 0.0) <= 0.0:
-        raise PFInfeasibleError(f"user {i} has zero PF rate in cell {w}")
-    t = alpha * (without_i - with_i)
-    return UserOutcome(rate=rates[i], tax=t,
-                       utility=alpha * math.log(rates[i]) - t)

@@ -17,10 +17,6 @@ def random_profile(rng, net):
 
 
 class TestGameMode:
-    def test_pf_requires_ca_pf(self):
-        with pytest.raises(InvalidArgumentError):
-            GameMode(strategy=CA, objective="pf")
-
     def test_defaults(self):
         mode = GameMode()
         assert mode.strategy == CAPA and mode.taxed
@@ -118,6 +114,27 @@ class TestSystemThroughput:
         a2 = tuple(a[j] for j in perm)
         assert system_throughput(net, a, CAPA) == pytest.approx(
             system_throughput(net2, a2, CAPA), abs=1e-9)
+
+
+class TestMemberSetMemo:
+    def test_in_place_change_gets_fresh_sets(self, rng):
+        """A list profile changed in place after a query is not served the
+        member sets of its old contents."""
+        net = random_network(rng, n_users=5, n_bss=3)
+        mode = GameMode()
+        ev = Evaluator(net, mode)
+        a = [0, 1, 2, 0, 1]
+        old = ev.cells_of(a)
+        assert isinstance(old, tuple)
+        [ev.utility(a, i) for i in range(net.num_users)]
+        a[0], a[3] = 2, 1
+        fresh = Evaluator(net, mode)
+        assert ev.cells_of(a) == fresh.cells_of(a) != old
+        assert ev.system_value(a) == fresh.system_value(a)
+        for i in range(net.num_users):
+            assert ev.utility(a, i) == fresh.utility(a, i)
+            for w in range(net.num_bss):
+                assert ev.move_utility(a, i, w) == fresh.move_utility(a, i, w)
 
 
 class TestDeviationIdentity:

@@ -9,7 +9,8 @@ from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
                                    apply_event, init_state, nearest_bs_profile,
                                    run, step, update_interference_noise)
-from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
+from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
+                                   ScenarioConfig, generate)
 from ofdma_assoc.per_bs_alloc import CA, CAPA, solve_capa
 
 
@@ -253,6 +254,38 @@ class TestInterference:
         # user 1 served by BS 1: noise on channels 2,3 gains BS 0's powers
         assert net.noise[1, 2] == pytest.approx(1.0 + 0.3 * p0[0])
         assert net.noise[1, 3] == pytest.approx(1.0 + 0.4 * p0[1])
+
+    def test_unequal_blocks_hand_check(self):
+        """Blocks of 2 and 1 channels: position 1 of BS 0 has no co-channel
+        in BS 1, so it receives no interference."""
+        gain = np.array([[1.0, 2.0, 0.5],
+                         [0.3, 0.4, 2.0]])
+        net = NetworkInstance(gain=gain, noise=np.ones((2, 3)),
+                              channels_of_bs=[np.arange(2), np.arange(2, 3)],
+                              budget=np.array([2.0, 3.0]), weight=np.ones(2),
+                              bandwidth=np.ones(2), tau=1.0)
+        g = net.normalized_gain()
+        allocs = {0: solve_capa(net, 0, [0], g), 1: solve_capa(net, 1, [1], g)}
+        assert allocs[1].power[0] == pytest.approx(3.0)
+        update_interference_noise(net, [0, 1], allocs)
+        assert net.noise[0, 0] == pytest.approx(1.0 + 0.5 * 3.0)
+        assert net.noise[0, 1] == 1.0
+        assert net.noise[1, 2] == pytest.approx(1.0 + 0.3 * allocs[0].power[0])
+
+    def test_unequal_blocks_run(self):
+        """K=10 over W=4 gives blocks 3/3/2/2."""
+        cfg = ScenarioConfig(num_users=6, num_bss=4, num_channels=10, seed=4)
+        net = generate(cfg)
+        assert [len(c) for c in net.channels_of_bs] == [3, 3, 2, 2]
+        res = run(net, 3, 0.0, 30, seed=2, interference=True)
+        assert len(res.trace) == res.iterations + 1
+        assert all(math.isfinite(rec.throughput) for rec in res.trace)
+
+    def test_run_leaves_caller_noise(self):
+        net = positioned_network()
+        before = net.noise.copy()
+        run(net, 2, 0.0, 30, seed=5, interference=True)
+        assert np.array_equal(net.noise, before)
 
     def test_interference_run_caps_honestly(self):
         net = positioned_network()

@@ -165,6 +165,13 @@ class TestOutdoorScenario:
         assert np.allclose(d, cfg.bs_distance_km)
         assert all(len(c) == 64 for c in net.channels_of_bs)
 
+    @pytest.mark.parametrize("num_bss", [0, 8, 9])
+    def test_bs_count_outside_layout_rejected(self, num_bss):
+        cfg = ScenarioConfig(mode="outdoor", num_users=4, num_bss=num_bss,
+                             num_channels=16, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            generate(cfg)
+
     def test_determinism(self):
         cfg = ScenarioConfig(mode="outdoor", num_users=4, num_bss=7,
                              num_channels=16, seed=8)

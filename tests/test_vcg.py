@@ -5,10 +5,9 @@ import pytest
 
 from conftest import random_network
 from ofdma_assoc import fixtures
-from ofdma_assoc.per_bs_alloc import (CA, CAPA, cell_members, realized_rates,
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, cells_of, realized_rates,
                                       reported_rates, solve_cell)
-from ofdma_assoc.vcg import (PFInfeasibleError, ReportProfile, misreport_search,
-                             pf_tax_utility, tax, utility)
+from ofdma_assoc.vcg import ReportProfile, misreport_search, tax, utility
 
 
 class TestTax:
@@ -39,6 +38,12 @@ class TestTax:
             assert -1e-12 <= out.utility <= net.weight[a[i]] * out.rate + 1e-12
 
 
+class TestCellsOf:
+    def test_partitions_users_by_bs(self):
+        assert cells_of([2, 0, 2, 1, 2], 4) == (
+            frozenset({1}), frozenset({3}), frozenset({0, 2, 4}), frozenset())
+
+
 class TestUtility:
     def test_worked_example(self):
         net = fixtures.example1_network()
@@ -66,9 +71,8 @@ class TestUtility:
                     return net.weight[w] * sum(
                         reported_rates(net, alloc, g).values())
 
-                users = cell_members(a, w)
-                others = [u for u in users if u != i]
-                expected = value(users) - value(others)
+                users = cells_of(a, net.num_bss)[w]
+                expected = value(users) - value(users - {i})
                 got = utility(net, a, i, None, strategy).utility
                 assert got == pytest.approx(expected, abs=1e-12)
 
@@ -114,51 +118,3 @@ class TestMisreportSearch:
                 alloc = solve_cell(net, w, users, fake, strategy)
                 lied = sum(realized_rates(net, w, alloc, users).values())
                 assert lied <= truthful + 1e-9
-
-
-class TestPFTaxUtility:
-    def test_single_user(self, rng):
-        net = random_network(rng, n_users=1, n_bss=1, chans_per_bs=[3])
-        out = pf_tax_utility(net, [0], 0)
-        assert out.tax == 0.0
-        assert out.utility == pytest.approx(math.log(out.rate), abs=1e-12)
-
-    def test_symmetric_users_equal_utilities(self):
-        gain = np.array([[1.0, 1.0], [1.0, 1.0]])
-        import ofdma_assoc.net_model as nm
-        net = nm.NetworkInstance(gain=gain, noise=np.ones((2, 2)),
-                                 channels_of_bs=[np.arange(2)],
-                                 budget=np.array([2.0]), weight=np.ones(1),
-                                 bandwidth=np.ones(1), tau=1.0)
-        u0 = pf_tax_utility(net, [0, 0], 0)
-        u1 = pf_tax_utility(net, [0, 0], 1)
-        assert u0.utility == pytest.approx(u1.utility, abs=1e-12)
-        assert u0.rate == pytest.approx(u1.rate, abs=1e-12)
-
-    def test_dominant_diagonal_matches_oracle(self):
-        import ofdma_assoc.net_model as nm
-        gain = np.array([[5.0, 0.1], [0.1, 5.0]])
-        net = nm.NetworkInstance(gain=gain, noise=np.ones((2, 2)),
-                                 channels_of_bs=[np.arange(2)],
-                                 budget=np.array([2.0]), weight=np.ones(1),
-                                 bandwidth=np.ones(1), tau=1.0)
-        out = pf_tax_utility(net, [0, 0], 0)
-        r0 = math.log1p(5.0)          # own channel at power 1
-        r1 = math.log1p(5.0)
-        # removing user 1: user 2 keeps its dominant channel, so the tax is
-        # log(rate with both channels) - log(rate with one)
-        r1_solo = math.log1p(5.0) + math.log1p(0.1)
-        assert out.rate == pytest.approx(r0, abs=1e-12)
-        assert out.tax == pytest.approx(math.log(r1_solo) - math.log(r1),
-                                        abs=1e-12)
-        assert out.utility == pytest.approx(math.log(r0) - out.tax, abs=1e-12)
-
-    def test_zero_rate_flags_infeasible(self):
-        import ofdma_assoc.net_model as nm
-        gain = np.array([[1.0, 1.0], [0.0, 0.0]])
-        net = nm.NetworkInstance(gain=gain, noise=np.ones((2, 2)),
-                                 channels_of_bs=[np.arange(2)],
-                                 budget=np.array([2.0]), weight=np.ones(1),
-                                 bandwidth=np.ones(1), tau=1.0)
-        with pytest.raises(PFInfeasibleError):
-            pf_tax_utility(net, [0, 0], 1)
