@@ -5,11 +5,10 @@ distributed dynamic mechanism, reference baselines, and a simulation CLI."""
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
                         ScenarioConfig, capacity_gap, dbm_to_watts, generate,
                         inject_estimation_error, reduce_3sat)
-from .per_bs_alloc import (CA, CAPA, CA_PF, Allocation, NoUsableChannelError,
-                           bs_throughput, cells_of, realized_rates,
-                           reported_rates, solve_ca, solve_ca_pf, solve_capa,
-                           solve_cell, water_fill)
-from .vcg import ReportProfile, UserOutcome, misreport_search, tax, utility
+from .per_bs_alloc import (CA, CAPA, Allocation, NoUsableChannelError,
+                           cells_of, realized_rates, reported_rates, solve_ca,
+                           solve_capa, solve_cell, water_fill)
+from .vcg import UserOutcome, misreport_search, tax, utility
 from .assoc_game import (Evaluator, GameMode, better_reply_set,
                          deviation_identity_check, efficiency_ratio,
                          enumerate_nes, is_ne, system_throughput)

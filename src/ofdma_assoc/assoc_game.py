@@ -23,7 +23,7 @@ ENUM_CAP = 10 ** 7
 
 @dataclass(frozen=True)
 class GameMode:
-    strategy: str = CAPA          # CA | CAPA | CA-PF
+    strategy: str = CAPA          # CA | CAPA
     taxed: bool = True            # False reproduces the taxless game
 
 

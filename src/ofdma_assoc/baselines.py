@@ -6,11 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .assoc_game import Evaluator, GameMode
 from .mechanism import nearest_bs_profile
-from .net_model import InvalidArgumentError, NetworkInstance
+from .net_model import NetworkInstance
 from .per_bs_alloc import CAPA
 
 SEARCH_CAP = 10 ** 7
@@ -76,7 +74,6 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     for i in range(n - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
 
-    submodular = strategy in ("CA", "CAPA")
     best_value = -math.inf
     best_profile: Optional[Tuple[int, ...]] = None
     profile = [0] * n
@@ -85,7 +82,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
 
     def dfs(i: int, value: float):
         nonlocal best_value, best_profile, evals
-        if submodular and value + suffix_bound[i] <= best_value + 1e-15:
+        if value + suffix_bound[i] <= best_value + 1e-15:
             return
         if i == n:
             evals += 1

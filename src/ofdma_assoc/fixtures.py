@@ -8,11 +8,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import assoc_game, vcg
+from . import vcg
 from .assoc_game import Evaluator, GameMode, better_reply_set, enumerate_nes
 from .net_model import NetworkInstance
-from .per_bs_alloc import (CA, CAPA, bs_throughput, realized_rates, solve_ca,
-                           solve_cell)
+from .per_bs_alloc import CA, CAPA, realized_rates, solve_ca
 
 
 def example1_network() -> NetworkInstance:
@@ -98,7 +97,8 @@ def verify_examples() -> VerifyReport:
     a = [0, 0]
     truthful = net.normalized_gain()
 
-    thr = bs_throughput(net, 0, a, truthful, CA)
+    alloc = solve_ca(net, 0, [0, 1], truthful)
+    thr = sum(realized_rates(net, 0, alloc).values())
     rep.add("single-cell truthful CA throughput = 3 ln 3",
             abs(thr - 3 * math.log(3)) < 1e-9, f"{thr:.6f}")
 

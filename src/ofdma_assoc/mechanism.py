@@ -148,8 +148,7 @@ class RunResult:
 def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[float]],
         max_iter: int, seed: int, mode: GameMode = GameMode(),
         reports: Optional[np.ndarray] = None,
-        interference: bool = False,
-        check_ne: bool = True) -> RunResult:
+        interference: bool = False) -> RunResult:
     """Iterate the mechanism until the stopping rule fires or max_iter is
     reached.  With `interference`, per-user noise entries are refreshed from
     the other cells' latest power allocations before each BS round; the
@@ -178,7 +177,7 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
             break
     profile = tuple(int(x) for x in state.profile)
     ne = None
-    if check_ne and converged and not interference:
+    if converged and not interference:
         ne = is_ne(net, profile, mode, ev)
     return RunResult(profile=profile,
                      trace=state.trace, converged=converged,

@@ -9,8 +9,8 @@ nats/s unless a bandwidth rescaling says otherwise.
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, asdict
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -23,11 +23,11 @@ import numpy as np
 from . import baselines, fixtures, mechanism
 from .assoc_game import Evaluator, GameMode
 from .baselines import SearchSpaceTooLargeError
-from .mechanism import RunResult
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
                         ScenarioConfig, generate, inject_estimation_error,
                         reduce_3sat)
-from .per_bs_alloc import CAPA, cells_of, realized_rates, solve_cell
+from .per_bs_alloc import (CAPA, STRATEGIES, cells_of, realized_rates,
+                           solve_cell)
 
 ALGORITHMS = ("dbsa", "nearest", "greedy0", "exhaustive", "bound")
 
@@ -51,6 +51,8 @@ class Campaign:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise InvalidArgumentError(f"unknown algorithm {alg!r}")
+        if self.strategy not in STRATEGIES:
+            raise InvalidArgumentError(f"unknown strategy {self.strategy!r}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memory length M (default: number of users)")
     p.add_argument("--cost", type=float, default=0.0)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--strategy", default=CAPA, choices=["CA", "CAPA"])
+    p.add_argument("--strategy", default=CAPA, choices=STRATEGIES)
 
     p = sub.add_parser("campaign", help="seeded Monte Carlo sweep")
     _add_scenario_flags(p)
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cer-values", default="inf")
     p.add_argument("--memory", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--strategy", default=CAPA, choices=["CA", "CAPA"])
+    p.add_argument("--strategy", default=CAPA, choices=STRATEGIES)
     p.add_argument("--outdir", required=True)
 
     p = sub.add_parser("replay", help="re-run a campaign from its manifest")

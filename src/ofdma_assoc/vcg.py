@@ -16,27 +16,6 @@ from .per_bs_alloc import cells_of, realized_rates, reported_rates, solve_cell
 
 
 @dataclass
-class ReportProfile:
-    """Reported normalized gains for every (user, channel), with a per-user
-    truthfulness flag."""
-
-    values: np.ndarray            # (N, K)
-    truthful: np.ndarray          # (N,) bool
-
-    @classmethod
-    def truthful_for(cls, net: NetworkInstance) -> "ReportProfile":
-        return cls(values=net.normalized_gain(),
-                   truthful=np.ones(net.num_users, dtype=bool))
-
-    def with_fabrication(self, i: int, row: np.ndarray) -> "ReportProfile":
-        vals = self.values.copy()
-        vals[i] = row
-        flags = self.truthful.copy()
-        flags[i] = False
-        return ReportProfile(values=vals, truthful=flags)
-
-
-@dataclass
 class UserOutcome:
     rate: float
     tax: float
@@ -46,8 +25,6 @@ class UserOutcome:
 def _as_values(net: NetworkInstance, reports) -> np.ndarray:
     if reports is None:
         return net.normalized_gain()
-    if isinstance(reports, ReportProfile):
-        return reports.values
     return np.asarray(reports, dtype=float)
 
 
@@ -121,19 +98,19 @@ def misreport_search(net: NetworkInstance, a: Sequence[int], i: int,
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    base = ReportProfile.truthful_for(net)
+    truthful = net.normalized_gain()
     w = a[i]
     users = cells_of(a, net.num_bss)[w]
     # the drop-out term of the tax does not depend on user i's report
-    without_i = _reported_cell_sum(net, w, users - {i}, base.values, strategy)
-    truthful_u = _outcome(net, w, users, i, base.values, strategy,
+    without_i = _reported_cell_sum(net, w, users - {i}, truthful, strategy)
+    truthful_u = _outcome(net, w, users, i, truthful, strategy,
                           without_i).utility
     mates = sorted(users - {i})
-    true_row = base.values[i]
+    true_row = truthful[i]
     best_gain = -math.inf
-    vals = base.values.copy()
+    vals = truthful.copy()
     for _ in range(trials):
-        vals[i] = _misreport_row(true_row, net, mates, base.values, rng)
+        vals[i] = _misreport_row(true_row, net, mates, truthful, rng)
         gain = _outcome(net, w, users, i, vals, strategy,
                         without_i).utility - truthful_u
         if gain > best_gain:

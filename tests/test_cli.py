@@ -76,6 +76,11 @@ class TestCampaign:
         assert len(rows) == 1
         assert rows[0].error is not None
 
+    @pytest.mark.parametrize("strategy", ["bogus", "CA-PF"])
+    def test_unknown_strategy_rejected(self, strategy):
+        with pytest.raises(InvalidArgumentError, match="unknown strategy"):
+            small_campaign(strategy=strategy)
+
     def test_campaign_json_round_trip(self):
         c = small_campaign(cer_values=(math.inf, 20.0))
         back = Campaign.from_json(c.to_json())

@@ -7,11 +7,11 @@ import pytest
 from conftest import random_network
 from ofdma_assoc import fixtures
 from ofdma_assoc.net_model import InvalidArgumentError
-from ofdma_assoc.per_bs_alloc import (CA, CAPA, CA_PF, Allocation,
-                                      NoUsableChannelError, bs_throughput,
-                                      realized_rates, reported_rates,
-                                      solve_ca, solve_ca_pf, solve_capa,
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, Allocation,
+                                      NoUsableChannelError, realized_rates,
+                                      reported_rates, solve_ca, solve_capa,
                                       solve_cell, water_fill)
+from ofdma_assoc.sim_cli import _realized
 
 
 def cell_value(net, w, users, reports, strategy):
@@ -106,8 +106,8 @@ class TestSolveCA:
         alloc = solve_ca(net, 0, [0, 1], net.normalized_gain())
         assert alloc.beta.tolist() == [0, 0, 1]
         assert alloc.power == pytest.approx([1.0, 1.0, 1.0])
-        thr = bs_throughput(net, 0, [0, 0], net.normalized_gain(), CA)
-        assert thr == pytest.approx(3 * math.log(3), abs=1e-3)
+        per_bs, _ = _realized(net, [0, 0], net.normalized_gain(), CA)
+        assert per_bs[0] == pytest.approx(3 * math.log(3), abs=1e-3)
 
     def test_single_user_gets_everything(self, rng):
         net = random_network(rng, n_users=3, n_bss=1, chans_per_bs=[4])
@@ -223,15 +223,16 @@ class TestRates:
     def test_weight_scales_throughput(self, rng):
         net = random_network(rng, n_bss=1)
         a = [0] * net.num_users
-        base = bs_throughput(net, 0, a, net.normalized_gain(), CAPA)
+        base, _ = _realized(net, a, net.normalized_gain(), CAPA)
         net.weight = np.array([2.0])
-        assert bs_throughput(net, 0, a, net.normalized_gain(), CAPA) == \
-            pytest.approx(2 * base)
+        scaled, _ = _realized(net, a, net.normalized_gain(), CAPA)
+        assert scaled[0] == pytest.approx(2 * base[0])
 
     def test_empty_cell(self, rng):
         net = random_network(rng, n_bss=2)
         a = [1] * net.num_users
-        assert bs_throughput(net, 0, a, net.normalized_gain(), CAPA) == 0.0
+        per_bs, _ = _realized(net, a, net.normalized_gain(), CAPA)
+        assert per_bs[0] == 0.0
 
 
 class TestStructuralProperties:
@@ -277,63 +278,8 @@ class TestStructuralProperties:
                 math.log1p(m + delta) - math.log1p(m) + 1e-12
 
 
-class TestSolveCAPF:
-    def test_dominant_channels(self):
-        net = random_network(np.random.default_rng(3), n_users=2, n_bss=1,
-                             chans_per_bs=[2])
-        reports = np.array([[5.0, 0.1], [0.1, 5.0]])
-        alloc = solve_ca_pf(net, 0, [0, 1], reports)
-        assert alloc.beta.tolist() == [0, 1]
-
-    def test_single_user_degenerates(self, rng):
-        net = random_network(rng, n_users=2, n_bss=1, chans_per_bs=[3])
-        alloc = solve_ca_pf(net, 0, [1], net.normalized_gain())
-        assert (alloc.beta == 1).all()
-
-    def test_every_user_served_when_room(self, rng):
-        for _ in range(30):
-            net = random_network(rng, n_users=3, n_bss=1, chans_per_bs=[4])
-            alloc = solve_ca_pf(net, 0, [0, 1, 2], net.normalized_gain())
-            assert alloc.users_served() == [0, 1, 2]
-            assert alloc.pf_excluded == ()
-
-    def test_overflow_users_flagged(self, rng):
-        net = random_network(rng, n_users=4, n_bss=1, chans_per_bs=[2])
-        alloc = solve_ca_pf(net, 0, [0, 1, 2, 3], net.normalized_gain())
-        assert len(alloc.pf_excluded) == 2
-        assert len(alloc.users_served()) == 2
-
-    def test_local_search_tracks_exhaustive(self):
-        """3 users x 6 channels: the local-search path never beats the
-        exhaustive optimum and matches it in >= 90% of trials."""
-        from ofdma_assoc import per_bs_alloc
-
-        def pf_value(net, alloc, reports, users):
-            rates = reported_rates(net, alloc, reports)
-            return sum(math.log(rates[u]) for u in users if rates.get(u, 0) > 0)
-
-        rng = np.random.default_rng(77)
-        matches = 0
-        trials = 100
-        for _ in range(trials):
-            net = random_network(rng, n_users=3, n_bss=1, chans_per_bs=[6])
-            users = [0, 1, 2]
-            reports = net.normalized_gain()
-            exact = solve_ca_pf(net, 0, users, reports)
-            chans = net.channels_of_bs[0]
-            power = exact.power
-            beta = per_bs_alloc._pf_greedy_local(net, 0, users, reports,
-                                                 chans, power)
-            local = Allocation(bs=0, channels=chans, beta=beta, power=power)
-            v_ex = pf_value(net, exact, reports, users)
-            v_lo = pf_value(net, local, reports, users)
-            assert v_lo <= v_ex + 1e-9
-            if v_lo >= v_ex - 1e-9:
-                matches += 1
-        assert matches >= 90
-
-
-def test_unknown_strategy_rejected(rng):
+@pytest.mark.parametrize("strategy", ["bogus", "CA-PF"])
+def test_unknown_strategy_rejected(rng, strategy):
     net = random_network(rng)
     with pytest.raises(InvalidArgumentError):
-        solve_cell(net, 0, [0], net.normalized_gain(), "bogus")
+        solve_cell(net, 0, [0], net.normalized_gain(), strategy)
