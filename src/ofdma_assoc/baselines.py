@@ -34,7 +34,7 @@ def _evaluator(net, strategy, evaluator) -> Evaluator:
 def nearest_bs(net: NetworkInstance, strategy: str = CAPA,
                evaluator: Optional[Evaluator] = None) -> BaselineResult:
     ev = _evaluator(net, strategy, evaluator)
-    profile = tuple(int(x) for x in nearest_bs_profile(net))
+    profile = nearest_bs_profile(net)
     return BaselineResult(profile=profile,
                           throughput=ev.system_value(profile), evaluations=1)
 

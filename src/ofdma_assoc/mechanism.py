@@ -16,7 +16,7 @@ import numpy as np
 
 from .assoc_game import Evaluator, GameMode, better_reply_set, is_ne
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import cells_of, solve_cell
+from .per_bs_alloc import Allocation, solve_cell
 
 
 @dataclass
@@ -25,20 +25,19 @@ class TraceRecord:
     profile: Tuple[int, ...]
     throughput: float
     bs_throughput: Tuple[float, ...]
-    utilities: Tuple[float, ...]
     event: Optional[str] = None
 
 
 @dataclass
 class MechanismState:
-    profile: np.ndarray
+    profile: Tuple[int, ...]
     memories: List[Deque[int]]
     costs: np.ndarray
     memory_len: int
     rng: np.random.Generator
     iteration: int = 0
     trace: List[TraceRecord] = field(default_factory=list)
-    history: List[Tuple[int, ...]] = field(default_factory=list)
+    stable: int = 0               # rounds since the profile last changed
 
 
 # -- events ------------------------------------------------------------------
@@ -48,6 +47,7 @@ class AddUsers:
     gain: np.ndarray              # (n_new, K)
     noise: np.ndarray             # (n_new, K)
     positions: Optional[np.ndarray] = None
+    gain_mean: Optional[np.ndarray] = None   # (n_new, W)
 
 
 @dataclass
@@ -63,16 +63,16 @@ class RegenerateChannels:
 Event = Union[AddUsers, RemoveUsers, RegenerateChannels]
 
 
-def nearest_bs_profile(net: NetworkInstance) -> np.ndarray:
+def nearest_bs_profile(net: NetworkInstance) -> Tuple[int, ...]:
     """Geometric nearest BS when positions exist; otherwise the BS with the
     highest mean normalized gain."""
     if net.user_pos is not None and net.bs_pos is not None:
         d = np.linalg.norm(net.user_pos[:, None, :] - net.bs_pos[None, :, :], axis=2)
-        return np.argmin(d, axis=1)
+        return tuple(np.argmin(d, axis=1).tolist())
     g = net.normalized_gain()
     means = np.stack([g[:, chans].mean(axis=1) for chans in net.channels_of_bs],
                      axis=1)
-    return np.argmax(means, axis=1)
+    return tuple(np.argmax(means, axis=1).tolist())
 
 
 def init_state(net: NetworkInstance, memory_len: int,
@@ -81,59 +81,38 @@ def init_state(net: NetworkInstance, memory_len: int,
         raise InvalidArgumentError("memory length must be >= 1")
     costs = np.broadcast_to(np.asarray(costs, dtype=float),
                             (net.num_users,)).copy()
-    profile = nearest_bs_profile(net)
     memories = [deque(maxlen=memory_len) for _ in range(net.num_users)]
-    state = MechanismState(profile=profile, memories=memories, costs=costs,
-                           memory_len=memory_len,
-                           rng=np.random.default_rng(seed))
-    state.history.append(tuple(int(x) for x in profile))
-    return state
+    return MechanismState(profile=nearest_bs_profile(net), memories=memories,
+                          costs=costs, memory_len=memory_len,
+                          rng=np.random.default_rng(seed))
 
 
-def _record(net: NetworkInstance, state: MechanismState, ev: Evaluator,
-            event: Optional[str] = None) -> None:
-    a = tuple(int(x) for x in state.profile)
+def _record(state: MechanismState, ev: Evaluator) -> None:
     per_bs = tuple(ev.cell(w, s).value
-                   for w, s in enumerate(ev.cells_of(a)))
-    utils = tuple(ev.utility(a, i) for i in range(net.num_users))
+                   for w, s in enumerate(ev.cells_of(state.profile)))
     state.trace.append(TraceRecord(
-        iteration=state.iteration, profile=a,
-        throughput=float(sum(per_bs)), bs_throughput=per_bs,
-        utilities=utils, event=event))
+        iteration=state.iteration, profile=state.profile,
+        throughput=float(sum(per_bs)), bs_throughput=per_bs))
 
 
 def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
-         evaluator: Optional[Evaluator] = None,
-         reports: Optional[np.ndarray] = None) -> None:
+         evaluator: Optional[Evaluator] = None) -> None:
     """One synchronized round: every BS re-solves its cell (implicitly via
     the evaluator), then every user simultaneously pushes a better reply
     into its memory and samples its next association from the memory."""
-    ev = evaluator if evaluator is not None else Evaluator(net, mode, reports)
-    frozen = tuple(int(x) for x in state.profile)
-    next_a = state.profile.copy()
+    ev = evaluator if evaluator is not None else Evaluator(net, mode)
+    a = state.profile
+    next_a = list(a)
     for i in range(net.num_users):
-        br = better_reply_set(net, frozen, i, mode, ev,
+        br = better_reply_set(net, a, i, mode, ev,
                               margin=float(state.costs[i]))
-        if br:
-            w_star = int(br[state.rng.integers(0, len(br))])
-        else:
-            w_star = frozen[i]
+        w_star = br[state.rng.integers(0, len(br))] if br else a[i]
         state.memories[i].appendleft(w_star)
         mem = state.memories[i]
         next_a[i] = mem[state.rng.integers(0, len(mem))]
-    state.profile = next_a
+    state.profile = tuple(next_a)
     state.iteration += 1
-    state.history.append(tuple(int(x) for x in next_a))
-    if len(state.history) > state.memory_len + 1:
-        state.history.pop(0)
-
-
-def _converged(state: MechanismState) -> bool:
-    h = state.history
-    m = state.memory_len
-    if len(h) < m + 1:
-        return False
-    return all(h[-1] == h[-1 - j] for j in range(1, m + 1))
+    state.stable = state.stable + 1 if state.profile == a else 0
 
 
 @dataclass
@@ -159,29 +138,36 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
         net = dataclasses.replace(net, noise=net.noise.copy())
     state = init_state(net, memory_len, costs, seed)
     ev = Evaluator(net, mode, reports)
-    _record(net, state, ev)
-    converged = False
-    iterations = max_iter
-    for _ in range(max_iter):
+    _record(state, ev)
+    while state.iteration < max_iter and state.stable < memory_len:
         if interference:
             allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
-                      for w, users in enumerate(cells_of(state.profile, net.num_bss))
+                      for w, users in enumerate(ev.cells_of(state.profile))
                       if users}
             update_interference_noise(net, state.profile, allocs)
             ev = Evaluator(net, mode, reports)
         step(net, state, mode, ev)
-        _record(net, state, ev)
-        if _converged(state):
-            converged = True
-            iterations = state.iteration
-            break
-    profile = tuple(int(x) for x in state.profile)
+        _record(state, ev)
+    converged = state.stable >= memory_len
     ne = None
     if converged and not interference:
-        ne = is_ne(net, profile, mode, ev)
-    return RunResult(profile=profile,
-                     trace=state.trace, converged=converged,
-                     iterations=iterations, is_ne=ne)
+        ne = is_ne(net, state.profile, mode, ev)
+    return RunResult(profile=state.profile, trace=state.trace,
+                     converged=converged, iterations=state.iteration, is_ne=ne)
+
+
+def _rows(x: Optional[np.ndarray], keep: List[int]) -> Optional[np.ndarray]:
+    return None if x is None else x[keep]
+
+
+def _stack(x: Optional[np.ndarray], rows: Optional[np.ndarray],
+           name: str) -> Optional[np.ndarray]:
+    """Append arriving users' rows to an optional per-user array."""
+    if x is None:
+        return None
+    if rows is None:
+        raise InvalidArgumentError(f"{name} required for this instance")
+    return np.vstack([x, np.atleast_2d(rows)])
 
 
 def apply_event(net: NetworkInstance, state: MechanismState,
@@ -194,15 +180,12 @@ def apply_event(net: NetworkInstance, state: MechanismState,
             if not 0 <= j < net.num_users:
                 raise InvalidArgumentError(f"unknown user {j}")
         keep = [i for i in range(net.num_users) if i not in idx]
-        new_net = NetworkInstance(
-            gain=net.gain[keep], noise=net.noise[keep],
-            channels_of_bs=net.channels_of_bs, budget=net.budget,
-            weight=net.weight, bandwidth=net.bandwidth, tau=net.tau,
-            user_pos=None if net.user_pos is None else net.user_pos[keep],
-            bs_pos=net.bs_pos,
+        new_net = dataclasses.replace(
+            net, gain=net.gain[keep], noise=net.noise[keep],
             thermal_noise=net.thermal_noise[keep],
-            gain_mean=None if net.gain_mean is None else net.gain_mean[keep])
-        state.profile = state.profile[keep]
+            user_pos=_rows(net.user_pos, keep),
+            gain_mean=_rows(net.gain_mean, keep))
+        state.profile = tuple(state.profile[i] for i in keep)
         state.memories = [m for i, m in enumerate(state.memories) if i not in idx]
         state.costs = state.costs[keep]
         label = f"remove_users:{idx}"
@@ -210,21 +193,13 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         gain = np.atleast_2d(np.asarray(event.gain, float))
         noise = np.atleast_2d(np.asarray(event.noise, float))
         n_new = gain.shape[0]
-        pos = None
-        if net.user_pos is not None:
-            if event.positions is None:
-                raise InvalidArgumentError("positions required for this instance")
-            pos = np.vstack([net.user_pos, np.atleast_2d(event.positions)])
-        new_net = NetworkInstance(
-            gain=np.vstack([net.gain, gain]),
+        new_net = dataclasses.replace(
+            net, gain=np.vstack([net.gain, gain]),
             noise=np.vstack([net.noise, noise]),
-            channels_of_bs=net.channels_of_bs, budget=net.budget,
-            weight=net.weight, bandwidth=net.bandwidth, tau=net.tau,
-            user_pos=pos, bs_pos=net.bs_pos,
             thermal_noise=np.vstack([net.thermal_noise, noise]),
-            gain_mean=None)
-        arrivals = nearest_bs_profile(new_net)[-n_new:]
-        state.profile = np.concatenate([state.profile, arrivals])
+            user_pos=_stack(net.user_pos, event.positions, "positions"),
+            gain_mean=_stack(net.gain_mean, event.gain_mean, "gain_mean"))
+        state.profile += nearest_bs_profile(new_net)[net.num_users:]
         for _ in range(n_new):
             state.memories.append(deque(maxlen=state.memory_len))
         state.costs = np.concatenate([state.costs,
@@ -239,22 +214,18 @@ def apply_event(net: NetworkInstance, state: MechanismState,
             gain[:, chans] = rng.exponential(
                 scale=net.gain_mean[:, w][:, None],
                 size=(net.num_users, len(chans)))
-        new_net = NetworkInstance(
-            gain=gain, noise=net.noise, channels_of_bs=net.channels_of_bs,
-            budget=net.budget, weight=net.weight, bandwidth=net.bandwidth,
-            tau=net.tau, user_pos=net.user_pos, bs_pos=net.bs_pos,
-            thermal_noise=net.thermal_noise, gain_mean=net.gain_mean)
+        new_net = dataclasses.replace(net, gain=gain)
         label = f"regenerate_channels:{event.seed}"
     else:
         raise InvalidArgumentError(f"unknown event {event!r}")
-    state.history.clear()
+    state.stable = 0
     if state.trace:
         state.trace[-1].event = label
     return new_net
 
 
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
-                              allocations: Dict[int, "object"]) -> None:
+                              allocations: Dict[int, Allocation]) -> None:
     """Refresh noise entries in place: thermal floor plus, on each of the
     serving BS's channels, the co-subcarrier transmit powers of every other
     BS weighted by the cross gains.  Per-BS channel blocks align by

@@ -2,7 +2,6 @@
 with the stated tolerances and sizes.  The shared 200-instance suite backs
 criteria 4, 5 and 12."""
 
-import dataclasses
 import itertools
 import math
 import time
@@ -15,7 +14,7 @@ from conftest import random_network
 from ofdma_assoc import baselines, fixtures, mechanism
 from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
                                     deviation_identity_check, efficiency_ratio,
-                                    enumerate_nes, is_ne)
+                                    enumerate_nes)
 from ofdma_assoc.net_model import (SatInstance, ScenarioConfig, generate,
                                    inject_estimation_error, reduce_3sat)
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, realized_rates, reported_rates,

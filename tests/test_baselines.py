@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import random_network
-from ofdma_assoc import baselines, fixtures
+from ofdma_assoc import fixtures
 from ofdma_assoc.assoc_game import Evaluator, GameMode, enumerate_nes, is_ne
 from ofdma_assoc.baselines import (SearchSpaceTooLargeError, candidate_bss,
                                    exhaustive_opt, greedy0, multi_connect_bound,

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from ofdma_assoc import sim_cli
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig)
 from ofdma_assoc.sim_cli import Campaign, main, replay, run_campaign, write_outputs

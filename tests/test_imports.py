@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library or test module imports is used in that module."""
 
 import ast
 import pathlib
@@ -8,7 +8,9 @@ import pytest
 import ofdma_assoc
 
 PACKAGE = pathlib.Path(ofdma_assoc.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).parent
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_network
 from ofdma_assoc import fixtures, mechanism
 from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
+from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
                                    apply_event, init_state, nearest_bs_profile,
                                    run, step, update_interference_noise)
@@ -31,14 +32,14 @@ def positioned_network():
 class TestInit:
     def test_nearest_by_distance(self):
         net = positioned_network()
-        assert nearest_bs_profile(net).tolist() == [0, 1, 1]
+        assert nearest_bs_profile(net) == (0, 1, 1)
 
     def test_gain_fallback(self, rng):
         net = random_network(rng, n_users=4, n_bss=2, chans_per_bs=[2, 2])
         g = net.normalized_gain()
         expect = [int(np.argmax([g[i, :2].mean(), g[i, 2:].mean()]))
                   for i in range(4)]
-        assert nearest_bs_profile(net).tolist() == expect
+        assert nearest_bs_profile(net) == tuple(expect)
 
     def test_memory_length_validated(self, rng):
         net = random_network(rng)
@@ -62,7 +63,7 @@ class TestStep:
         res = run(net, 3, 0.0, 100, seed=0, mode=mode)
         assert res.converged
         state = init_state(net, 3, 0.0, seed=1)
-        state.profile = np.array(res.profile)
+        state.profile = res.profile
         for i in range(net.num_users):
             state.memories[i].extend([res.profile[i]] * 3)
         for _ in range(10):
@@ -89,7 +90,7 @@ class TestStep:
     def test_infinite_cost_freezes_profile(self):
         net = positioned_network()
         state = init_state(net, 3, math.inf, seed=3)
-        start = state.profile.copy()
+        start = state.profile
         mode = GameMode()
         for _ in range(10):
             step(net, state, mode)
@@ -140,6 +141,23 @@ class TestRun:
         for rec in res.trace:
             assert rec.throughput == pytest.approx(sum(rec.bs_throughput), abs=1e-9)
 
+    def test_stop_rule(self, rng):
+        """Converged exactly when the last M+1 profiles are equal, at the
+        first such window, and one trace record per round plus the start."""
+        for _ in range(25):
+            net = random_network(rng, n_users=int(rng.integers(2, 6)),
+                                 n_bss=int(rng.integers(2, 4)))
+            m = int(rng.integers(1, 4))
+            res = run(net, m, 0.0, int(rng.integers(m + 1, 40)),
+                      seed=int(rng.integers(10 ** 6)))
+            profiles = [rec.profile for rec in res.trace]
+            windows = [len(set(profiles[t - m:t + 1])) == 1
+                       for t in range(m, len(profiles))]
+            assert res.iterations == len(res.trace) - 1
+            assert res.converged == (bool(windows) and windows[-1])
+            if res.converged:
+                assert not any(windows[:-1])
+
     def test_random_instances_converge_to_ne(self, rng):
         for _ in range(25):
             net = random_network(rng, n_users=int(rng.integers(2, 6)),
@@ -147,6 +165,27 @@ class TestRun:
             res = run(net, net.num_users, 0.0, 500, seed=int(rng.integers(10 ** 6)))
             assert res.converged
             assert res.is_ne
+
+
+class TestProfileType:
+    def test_profiles_are_int_tuples(self, rng):
+        def check(profile):
+            assert type(profile) is tuple
+            assert all(type(w) is int for w in profile)
+
+        net = random_network(rng, n_users=5, n_bss=3)
+        check(nearest_bs_profile(net))
+        check(nearest_bs_profile(positioned_network()))
+        state = init_state(net, 2, 0.0, seed=1)
+        check(state.profile)
+        step(net, state, GameMode())
+        check(state.profile)
+        res = run(net, 2, 0.0, 50, seed=1)
+        check(res.profile)
+        for rec in res.trace:
+            check(rec.profile)
+        for oracle in (nearest_bs, greedy0, exhaustive_opt):
+            check(oracle(net).profile)
 
 
 class TestEvents:
@@ -173,17 +212,49 @@ class TestEvents:
         assert state.profile[2] == 1          # re-enters at its nearest BS
         assert len(state.memories[2]) == 0
 
-    def test_event_annotates_trace_and_resets_history(self):
+    def test_event_annotates_trace_and_resets_stable_count(self):
         net = positioned_network()
         mode = GameMode()
         state = init_state(net, 2, 0.0, seed=3)
         ev = Evaluator(net, mode)
-        mechanism._record(net, state, ev)
+        mechanism._record(state, ev)
         for _ in range(5):
             step(net, state, mode, ev)
         net = apply_event(net, state, RemoveUsers([0]))
         assert state.trace[-1].event.startswith("remove_users")
-        assert state.history == []
+        assert state.stable == 0
+
+    def test_added_users_keep_gain_model(self):
+        """Remove, re-add with a gain model, then redraw the channels."""
+        net = positioned_network()
+        net.gain_mean = np.full((3, 2), 0.5)
+        state = init_state(net, 2, 0.0, seed=1)
+        net2 = apply_event(net, state, RemoveUsers([2]))
+        net3 = apply_event(net2, state, AddUsers(
+            gain=net.gain[2:], noise=net.noise[2:],
+            positions=net.user_pos[2:], gain_mean=net.gain_mean[2:]))
+        assert np.array_equal(net3.gain_mean, net.gain_mean)
+        net4 = apply_event(net3, state, RegenerateChannels(seed=42))
+        assert net4.gain.shape == (3, 4)
+        assert net4.gain_mean.shape == (3, 2)
+
+    def test_add_requires_gain_model(self):
+        net = positioned_network()
+        net.gain_mean = np.full((3, 2), 0.5)
+        state = init_state(net, 2, 0.0, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            apply_event(net, state, AddUsers(
+                gain=net.gain[:1], noise=net.noise[:1],
+                positions=net.user_pos[:1]))
+
+    def test_add_no_users_keeps_profile(self):
+        net = positioned_network()
+        state = init_state(net, 2, 0.0, seed=1)
+        net2 = apply_event(net, state, AddUsers(
+            gain=np.zeros((0, 4)), noise=np.ones((0, 4)),
+            positions=np.zeros((0, 2))))
+        assert net2.num_users == 3
+        assert state.profile == (0, 1, 1)
 
     def test_regenerate_channels_deterministic(self):
         cfg_net = positioned_network()

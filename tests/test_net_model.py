@@ -1,5 +1,3 @@
-import dataclasses
-import json
 import math
 
 import numpy as np
