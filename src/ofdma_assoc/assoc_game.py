@@ -4,7 +4,9 @@ ratios.
 
 Cell values depend on the association profile only through the set of
 users in the cell, so an Evaluator memoizes per-(BS, user-set) solves;
-enumeration and the dynamic mechanism both ride on that cache.
+enumeration and the dynamic mechanism both ride on that cache.  A user
+that is not a contender of a cell (`per_bs_alloc.contenders`) cannot change
+it by joining or leaving, so its utility there is exactly 0 without a solve.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import CAPA, cells_of, reported_rates, solve_cell
+from .per_bs_alloc import CAPA, cells_of, contenders, reported_rates, solve_cell
 
 STRICT_TOL = 1e-12
 ENUM_CAP = 10 ** 7
@@ -31,6 +33,7 @@ class GameMode:
 class CellResult:
     value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
+    contenders: Optional[Tuple[bool, ...]] = None   # per user, filled on first use
 
 
 class Evaluator:
@@ -74,20 +77,47 @@ class Evaluator:
         return sum(self.cell(w, s).value for w, s in enumerate(self.cells_of(a)))
 
     def utility_in(self, i: int, w: int, members: FrozenSet[int]) -> float:
-        """Utility of user i if cell w's user set were `members` (i included)."""
+        """Utility of user i if cell w's user set were `members` (i included),
+        from the cell solves with and without i."""
         with_i = self.cell(w, members)
         if not self.mode.taxed:
             return with_i.rates.get(i, 0.0)
         without_i = self.cell(w, members - {i})
         return with_i.value - without_i.value
 
+    def _contends(self, res: CellResult, w: int, members: FrozenSet[int],
+                  i: int) -> bool:
+        """Whether user i joining or leaving cell (w, members), whose cached
+        result is `res`, can change the cell."""
+        if res.contenders is None:
+            res.contenders = tuple(contenders(
+                self.net, w, members, self.reports, self.mode.strategy).tolist())
+        return res.contenders[i]
+
     def utility(self, a: Sequence[int], i: int) -> float:
+        """`utility_in` at i's own cell, without the solve of the cell
+        less i when i's departure cannot change it."""
         w = a[i]
-        return self.utility_in(i, w, self.cells_of(a)[w])
+        members = self.cells_of(a)[w]
+        here = self.cell(w, members)
+        if not self.mode.taxed:
+            return here.rates.get(i, 0.0)
+        if not self._contends(here, w, members, i):
+            return 0.0
+        return here.value - self.cell(w, members - {i}).value
 
     def move_utility(self, a: Sequence[int], i: int, w: int) -> float:
-        """Utility of user i after a unilateral move to BS w."""
-        return self.utility_in(i, w, self.cells_of(a)[w] | {i})
+        """Utility of user i after a unilateral move to BS w: `utility_in`
+        at the joined cell, without its solve when i's arrival cannot
+        change the cell."""
+        members = self.cells_of(a)[w]
+        there = self.cell(w, members)
+        if not self._contends(there, w, members, i):
+            return 0.0
+        joined = self.cell(w, members | {i})
+        if not self.mode.taxed:
+            return joined.rates.get(i, 0.0)
+        return joined.value - there.value
 
 
 def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:

@@ -110,7 +110,7 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
     """Steepest single-user-move ascent on the system objective, starting
     from the nearest-BS profile."""
     ev = _evaluator(net, strategy, evaluator)
-    a = list(nearest_bs_profile(net) if start is None else start)
+    a = [int(w) for w in (nearest_bs_profile(net) if start is None else start)]
     value = ev.system_value(a)
     evals = 1
     while True:

@@ -230,21 +230,22 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
     serving BS's channels, the co-subcarrier transmit powers of every other
     BS weighted by the cross gains.  Per-BS channel blocks align by
     position (same conceptual subcarrier); a BS whose block is too short to
-    have a channel at some position adds no interference there."""
-    noise = net.thermal_noise.copy()
+    have a channel at some position adds no interference there.  The
+    per-position sums run over the BSs in ascending order."""
+    a = np.asarray(a)
     n_sub = max(len(chans) for chans in net.channels_of_bs)
-    powers = np.zeros((net.num_bss, n_sub))
-    for w, alloc in allocations.items():
-        powers[w, :len(alloc.power)] = alloc.power
-    for i in range(net.num_users):
-        w_serv = a[i]
-        serving = net.channels_of_bs[w_serv]
-        for pos, k in enumerate(serving):
-            interf = 0.0
-            for w in range(net.num_bss):
-                if w == w_serv or pos >= len(net.channels_of_bs[w]):
-                    continue
-                k_other = net.channels_of_bs[w][pos]
-                interf += net.gain[i, k_other] * powers[w, pos]
-            noise[i, k] += interf
-    net.noise = noise
+    # interf[i, pos]: what user i receives at block position pos from
+    # every BS but its own
+    interf = np.zeros((net.num_users, n_sub))
+    bs_of = np.empty(net.num_channels, dtype=int)
+    pos_of = np.empty(net.num_channels, dtype=int)
+    for w, chans in enumerate(net.channels_of_bs):
+        bs_of[chans] = w
+        pos_of[chans] = np.arange(len(chans))
+        alloc = allocations.get(w)
+        if alloc is not None:
+            cross = net.gain[:, chans] * alloc.power
+            cross[a == w] = 0.0       # a user's own BS does not interfere
+            interf[:, :len(chans)] += cross
+    serving = bs_of == a[:, None]
+    net.noise = net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -6,6 +6,7 @@ are computed from the instance's true channels.  All argmax tie-breaks go
 to the lowest user index so runs replay deterministically.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -50,7 +51,7 @@ def _best_user_per_channel(reports: np.ndarray, users: Sequence[int],
                            chans: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Argmax user (lowest index on ties) and best reported gain per channel."""
     users = np.asarray(sorted(users), dtype=int)
-    sub = reports[np.ix_(users, chans)]
+    sub = reports.take(users, 0).take(chans, 1)
     idx = np.argmax(sub, axis=0)          # first occurrence = lowest user index
     return users[idx], sub[idx, np.arange(len(chans))]
 
@@ -68,23 +69,19 @@ def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
     return Allocation(bs=w, channels=chans, beta=beta, power=power)
 
 
-def water_fill(inv_gains: np.ndarray, budget: float) -> Tuple[np.ndarray, float]:
-    """Water-filling over parallel channels with effective inverse gains.
+def _active_set(inv: np.ndarray, budget: float) -> Tuple[List[float], int, int, float]:
+    """The water-filling active-set rule over inverse gains `inv`.
 
-    Returns powers p_k = max(0, lam - inv_gains[k]) with sum(p) == budget,
-    and the water level lam.  Entries may be +inf (unusable channels).
+    Returns the inverse gains in ascending order, how many of them are
+    finite, how many the rule admits, and the water level lam (nan when no
+    entry is finite).  The admitted channels are the cheapest ones, grown
+    while the candidate water level still covers the next-cheapest channel.
     """
-    if budget <= 0:
-        raise InvalidArgumentError("budget must be positive")
-    inv = np.asarray(inv_gains, dtype=float)
-    finite = np.isfinite(inv)
-    if not finite.any():
-        raise NoUsableChannelError("all channels have zero gain")
-    order = np.argsort(inv, kind="stable")
-    inv_sorted = inv[order]
-    n_fin = int(finite.sum())
-    # grow the active set while the candidate water level still covers the
-    # next-cheapest channel
+    inv_sorted = np.sort(inv, kind="stable").tolist()
+    n_fin = bisect.bisect_left(inv_sorted, math.inf)
+    if n_fin == 0:
+        return inv_sorted, 0, 0, math.nan
+    budget = float(budget)
     active = 1
     csum = inv_sorted[0]
     while active < n_fin:
@@ -94,14 +91,37 @@ def water_fill(inv_gains: np.ndarray, budget: float) -> Tuple[np.ndarray, float]
             active += 1
         else:
             break
-    lam = (budget + csum) / active
+    return inv_sorted, n_fin, active, (budget + csum) / active
+
+
+def water_fill(inv_gains: np.ndarray, budget: float) -> Tuple[np.ndarray, float]:
+    """Water-filling over parallel channels with effective inverse gains.
+
+    Returns powers p_k = max(0, lam - inv_gains[k]) with sum(p) == budget,
+    and the water level lam.  Entries may be +inf (unusable channels).
+    """
+    if budget <= 0:
+        raise InvalidArgumentError("budget must be positive")
+    inv = np.asarray(inv_gains, dtype=float)
+    inv_sorted, n_fin, _, lam = _active_set(inv, budget)
+    if n_fin == 0:
+        raise NoUsableChannelError("all channels have zero gain")
     powers = np.maximum(lam - inv, 0.0)
-    powers[~finite] = 0.0
+    if n_fin < len(inv_sorted):
+        powers[~np.isfinite(inv)] = 0.0
     # exactness of the budget despite float accumulation
     s = powers.sum()
     if s > 0:
         powers *= budget / s
-    return powers, float(lam)
+    return powers, lam
+
+
+def _inverse_gains(tau: float, best: np.ndarray) -> np.ndarray:
+    """tau / best per channel, +inf where the best gain is not positive."""
+    if best.min(initial=math.inf) > 0:
+        return tau / best
+    with np.errstate(divide="ignore"):
+        return np.where(best > 0, tau / np.where(best > 0, best, 1.0), np.inf)
 
 
 def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
@@ -114,9 +134,8 @@ def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
     beta, best = _best_user_per_channel(reports, users, chans)
-    with np.errstate(divide="ignore"):
-        inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
-    if not np.isfinite(inv).any():
+    inv = _inverse_gains(net.tau, best)
+    if inv.min(initial=math.inf) == math.inf:
         alloc = _empty_allocation(net, w)
         alloc.beta = beta
         return alloc
@@ -127,15 +146,21 @@ def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
 
 def _rates_from_alloc(net: NetworkInstance, alloc: Allocation,
                       norm_gains: np.ndarray) -> Dict[int, float]:
-    """Per-user rates of an allocation under the given normalized gains."""
-    df = net.bandwidth[alloc.bs]
+    """Per-user rates of an allocation under the given normalized gains,
+    summed per user in channel order."""
+    powers = alloc.power.tolist()
+    if max(powers, default=0.0) <= 0:
+        return {}                         # an empty cell or no usable channel
+    df = float(net.bandwidth[alloc.bs])
+    tau = float(net.tau)
+    held = alloc.beta.tolist()
+    rows = alloc.beta if min(held) >= 0 else np.maximum(alloc.beta, 0)
+    gains = norm_gains[rows, alloc.channels].tolist()
     rates: Dict[int, float] = {}
-    for j, user in enumerate(alloc.beta):
-        if user < 0 or alloc.power[j] <= 0:
+    for user, p, g in zip(held, powers, gains):
+        if user < 0 or p <= 0:
             continue
-        g = norm_gains[user, alloc.channels[j]]
-        rates[int(user)] = rates.get(int(user), 0.0) + df * math.log1p(
-            g * alloc.power[j] / net.tau)
+        rates[user] = rates.get(user, 0.0) + df * math.log1p(g * p / tau)
     return rates
 
 
@@ -162,6 +187,57 @@ def solve_cell(net: NetworkInstance, w: int, users: Iterable[int],
     if strategy == CAPA:
         return solve_capa(net, w, users, reports)
     raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+
+
+def contenders(net: NetworkInstance, w: int, users: Iterable[int],
+               reports: np.ndarray, strategy: str) -> np.ndarray:
+    """(N,) bool: the users whose arrival in cell w (non-members) or
+    departure from it (members of `users`) can change the cell.  For any
+    other user, the cell with and without it gives every remaining user the
+    same reported rate, in the same order, and the user itself rate 0; so
+    the cell value is bit-identical and the user's marginal value is 0.
+
+    A member contends if it holds a channel that carries power: under CA
+    any channel, under CAPA a channel the water-fill admitted (its power
+    may still round to 0).  A non-member contends if on some channel its
+    report reaches the best member report (ties count: the lowest index
+    wins them) and, under CAPA, its inverse gain tau / r is below the
+    admission bound.  The bound is the first inverse gain the active-set
+    rule rejected, or max(lam, last admitted) when it admitted every usable
+    channel; an inverse gain at or above it sorts after the admitted prefix
+    and is rejected in turn, so the prefix, its running sum, lam and every
+    power stay bit-identical.  In an empty cell a user contends if it has
+    a positive report (CA) or a finite inverse gain (CAPA).
+    """
+    if strategy not in STRATEGIES:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    chans = net.channels_of_bs[w]
+    sub = reports[:, chans]
+    users = sorted(users)
+    if not users:
+        if strategy == CA:
+            return (sub > 0).any(axis=1)
+        with np.errstate(divide="ignore"):
+            return (net.tau / sub < math.inf).any(axis=1)
+    beta, best = _best_user_per_channel(reports, users, chans)
+    if strategy == CA:
+        flags = (sub >= best).any(axis=1)
+        held = beta
+    else:
+        inv = _inverse_gains(net.tau, best)
+        inv_sorted, n_fin, active, lam = _active_set(inv, net.budget[w])
+        if n_fin == 0:
+            bound = math.inf
+        elif active < n_fin:
+            bound = inv_sorted[active]
+        else:
+            bound = max(lam, inv_sorted[active - 1])
+        with np.errstate(divide="ignore"):
+            flags = ((sub >= best) & (net.tau / sub < bound)).any(axis=1)
+        held = beta[np.argsort(inv, kind="stable")[:active]]
+    flags[users] = False
+    flags[held] = True
+    return flags
 
 
 def cells_of(a: Sequence[int], num_bss: int) -> Tuple[FrozenSet[int], ...]:

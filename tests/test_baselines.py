@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_network
@@ -94,6 +95,11 @@ class TestGreedy0:
         net = random_network(rng, n_bss=2)
         res = greedy0(net, start=[1] * net.num_users)
         assert res.throughput >= 0.0
+
+    def test_array_start_gives_int_profile(self, rng):
+        net = random_network(rng, n_users=5, n_bss=3)
+        res = greedy0(net, start=np.zeros(net.num_users, int))
+        assert all(type(w) is int for w in res.profile)
 
 
 class TestBound:

@@ -1,0 +1,306 @@
+"""Bit-exactness of the fast paths.
+
+The per-cell kernel is checked against reference copies of its earlier,
+plainer bodies, and the game layer's zero-marginal rules against the
+two-solve utility formula.  Every comparison is `==`: the DBSA trajectory
+compares utilities with a tolerance below one ulp, so a last-bit change
+could change a run.
+"""
+
+import math
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from ofdma_assoc import assoc_game
+from ofdma_assoc.assoc_game import Evaluator, GameMode
+from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
+                                      NoUsableChannelError,
+                                      _best_user_per_channel,
+                                      _empty_allocation, _rates_from_alloc,
+                                      contenders, reported_rates, solve_cell,
+                                      water_fill)
+
+# -- reference kernel: the plain NumPy bodies the lean kernel replaced ------
+
+
+def ref_best_user_per_channel(reports, users, chans):
+    users = np.asarray(sorted(users), dtype=int)
+    sub = reports[np.ix_(users, chans)]
+    idx = np.argmax(sub, axis=0)
+    return users[idx], sub[idx, np.arange(len(chans))]
+
+
+def ref_water_fill(inv_gains, budget):
+    if budget <= 0:
+        raise InvalidArgumentError("budget must be positive")
+    inv = np.asarray(inv_gains, dtype=float)
+    finite = np.isfinite(inv)
+    if not finite.any():
+        raise NoUsableChannelError("all channels have zero gain")
+    order = np.argsort(inv, kind="stable")
+    inv_sorted = inv[order]
+    n_fin = int(finite.sum())
+    active = 1
+    csum = inv_sorted[0]
+    while active < n_fin:
+        lam = (budget + csum) / active
+        if lam > inv_sorted[active]:
+            csum += inv_sorted[active]
+            active += 1
+        else:
+            break
+    lam = (budget + csum) / active
+    powers = np.maximum(lam - inv, 0.0)
+    powers[~finite] = 0.0
+    s = powers.sum()
+    if s > 0:
+        powers *= budget / s
+    return powers, float(lam)
+
+
+def ref_solve_capa(net, w, users, reports):
+    users = sorted(users)
+    if not users:
+        return _empty_allocation(net, w)
+    chans = net.channels_of_bs[w]
+    beta, best = ref_best_user_per_channel(reports, users, chans)
+    with np.errstate(divide="ignore"):
+        inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
+    if not np.isfinite(inv).any():
+        alloc = _empty_allocation(net, w)
+        alloc.beta = beta
+        return alloc
+    power, lam = ref_water_fill(inv, net.budget[w])
+    return Allocation(bs=w, channels=chans, beta=beta, power=power,
+                      water_level=lam)
+
+
+def ref_rates_from_alloc(net, alloc, norm_gains):
+    df = net.bandwidth[alloc.bs]
+    rates = {}
+    for j, user in enumerate(alloc.beta):
+        if user < 0 or alloc.power[j] <= 0:
+            continue
+        g = norm_gains[user, alloc.channels[j]]
+        rates[int(user)] = rates.get(int(user), 0.0) + df * math.log1p(
+            g * alloc.power[j] / net.tau)
+    return rates
+
+
+# -- drawn inputs: few distinct values, so ties and zeros are common --------
+
+GAIN = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 3.0, 7.5, 1e-3, 40.0])
+INV = st.one_of(st.sampled_from([math.inf, 0.5, 1.0, 1.0, 2.0]),
+                st.floats(0.01, 100.0))
+
+
+@st.composite
+def cells(draw):
+    """A one-BS instance with 1-6 users and 1-16 channels, a member set,
+    and a report matrix drawn from GAIN (so zero rows and ties occur)."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 16))
+    gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)))
+    net = NetworkInstance(
+        gain=gain, noise=np.ones((n, k)), channels_of_bs=[np.arange(k)],
+        budget=[draw(st.floats(0.1, 10.0))], weight=[1.0],
+        bandwidth=[draw(st.sampled_from([1.0, 0.5, 180e3]))],
+        tau=draw(st.sampled_from([1.0, 1.5, 4.0])))
+    users = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return net, users
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+def test_best_user_matches_reference(cell):
+    net, users = cell
+    reports = net.normalized_gain()
+    beta, best = _best_user_per_channel(reports, users, net.channels_of_bs[0])
+    ref_beta, ref_best = ref_best_user_per_channel(reports, users,
+                                                   net.channels_of_bs[0])
+    assert beta.tolist() == ref_beta.tolist()
+    assert best.tolist() == ref_best.tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(INV, min_size=1, max_size=16), st.floats(1e-6, 50.0))
+def test_water_fill_matches_reference(inv, budget):
+    inv = np.array(inv)
+    if not np.isfinite(inv).any():
+        with pytest.raises(NoUsableChannelError):
+            water_fill(inv, budget)
+        return
+    powers, lam = water_fill(inv, budget)
+    ref_powers, ref_lam = ref_water_fill(inv, budget)
+    assert powers.tolist() == ref_powers.tolist()
+    assert lam == ref_lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+def test_cell_solves_match_reference(cell):
+    net, users = cell
+    reports = net.normalized_gain()
+    alloc = solve_cell(net, 0, users, reports, CAPA)
+    ref = ref_solve_capa(net, 0, users, reports)
+    assert alloc.beta.tolist() == ref.beta.tolist()
+    assert alloc.power.tolist() == ref.power.tolist()
+    assert alloc.water_level == ref.water_level
+    for strategy in STRATEGIES:
+        alloc = solve_cell(net, 0, users, reports, strategy)
+        rates = reported_rates(net, alloc, reports)
+        assert list(rates.items()) == list(
+            ref_rates_from_alloc(net, alloc, reports).items())
+
+
+def test_rates_of_empty_and_partial_allocations():
+    net = NetworkInstance(gain=np.array([[1.0, 2.0, 3.0]]), noise=np.ones((1, 3)),
+                          channels_of_bs=[np.arange(3)], budget=[3.0],
+                          weight=[1.0], bandwidth=[1.0], tau=1.0)
+    g = net.normalized_gain()
+    empty = _empty_allocation(net, 0)
+    assert _rates_from_alloc(net, empty, g) == ref_rates_from_alloc(net, empty, g) == {}
+    partial = Allocation(bs=0, channels=np.arange(3), beta=np.array([-1, 0, 0]),
+                         power=np.ones(3))
+    assert list(_rates_from_alloc(net, partial, g).items()) == list(
+        ref_rates_from_alloc(net, partial, g).items())
+
+
+# -- the zero-marginal rules ------------------------------------------------
+
+
+def _network(rng):
+    """Small random network with the corner cases the rules must survive:
+    duplicated report rows (ties), zero rows and zero entries, uneven
+    channel blocks, and sometimes a BS of weight 0."""
+    n = int(rng.integers(1, 7))
+    w_cnt = int(rng.integers(1, 4))
+    blocks = [int(rng.integers(1, 5)) for _ in range(w_cnt)]
+    k = sum(blocks)
+    gain = rng.exponential(size=(n, k))
+    gain[rng.uniform(size=gain.shape) < 0.15] = 0.0
+    for i in range(n):
+        roll = rng.uniform()
+        if roll < 0.15:
+            gain[i] = 0.0
+        elif roll < 0.4 and i > 0:
+            gain[i] = gain[int(rng.integers(0, i))]
+    weight = np.ones(w_cnt)
+    if rng.uniform() < 0.2:
+        weight[int(rng.integers(0, w_cnt))] = 0.0
+    edges = np.cumsum([0] + blocks)
+    return NetworkInstance(
+        gain=gain, noise=np.ones((n, k)),
+        channels_of_bs=[np.arange(a, b) for a, b in zip(edges, edges[1:])],
+        budget=rng.uniform(0.2, 5.0, size=w_cnt), weight=weight,
+        bandwidth=np.ones(w_cnt), tau=float(rng.choice([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("taxed", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rules_match_two_solve_formula(strategy, taxed):
+    rng = np.random.default_rng(20121)
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    for _ in range(150):
+        net = _network(rng)
+        ev = Evaluator(net, mode)
+        ref = Evaluator(net, mode)
+        for _ in range(4):
+            a = tuple(int(x) for x in rng.integers(0, net.num_bss, net.num_users))
+            cells = ref.cells_of(a)
+            for i in range(net.num_users):
+                assert ev.utility(a, i) == ref.utility_in(i, a[i], cells[a[i]])
+                for w in range(net.num_bss):
+                    if w != a[i]:
+                        assert ev.move_utility(a, i, w) == ref.utility_in(
+                            i, w, cells[w] | {i})
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_non_contenders_leave_rates_unchanged(strategy):
+    """Toggling a non-contender leaves every other user's reported rate,
+    and their order, exactly as they were; its own rate is 0."""
+    rng = np.random.default_rng(7)
+    skipped = 0
+    for _ in range(300):
+        net = _network(rng)
+        g = net.normalized_gain()
+        for w in range(net.num_bss):
+            members = frozenset(int(u) for u in np.flatnonzero(
+                rng.uniform(size=net.num_users) < 0.5))
+            flags = contenders(net, w, members, g, strategy)
+            for u in np.flatnonzero(~flags).tolist():
+                base = reported_rates(net, solve_cell(net, w, members, g, strategy), g)
+                rates = reported_rates(net, solve_cell(net, w, members ^ {u}, g, strategy), g)
+                assert base.pop(u, 0.0) == rates.pop(u, 0.0) == 0.0
+                assert list(rates.items()) == list(base.items())
+                skipped += 1
+    assert skipped > 100
+
+
+def _two_bs(gain, budget):
+    """BS 0 holds the given channels; BS 1 one more channel of gain 1."""
+    n, k = np.shape(gain)
+    return NetworkInstance(gain=np.hstack([gain, np.ones((n, 1))]),
+                           noise=np.ones((n, k + 1)),
+                           channels_of_bs=[np.arange(k), np.array([k])],
+                           budget=[budget, 1.0], weight=[1.0, 1.0],
+                           bandwidth=[1.0, 1.0], tau=1.0)
+
+
+def test_zero_rate_member_can_still_change_the_cell():
+    """User 1's only channel is admitted by the water-fill, but the water
+    level rounds down onto its inverse gain, so its power and rate are 0.
+    Its departure still shifts the water level of the other channels: the
+    marginal value is -9.86e-32, not 0."""
+    g = 0.7356008332560471
+    net = _two_bs([[0.7356008332560473, 0.7356008332560472, 0.0], [0.0, 0.0, g]],
+                  8.881784197001252e-16)
+    ev = Evaluator(net, GameMode(strategy=CAPA))
+    cell = frozenset({0, 1})
+    assert ev.cell(0, cell).rates[1] == 0.0
+    assert contenders(net, 0, cell, ev.reports, CAPA).tolist() == [True, True]
+    marginal = Evaluator(net, GameMode(strategy=CAPA)).utility_in(1, 0, cell)
+    assert marginal != 0.0
+    assert ev.utility((0, 0), 1) == marginal
+
+
+def test_zero_report_joiner_can_change_a_ca_cell():
+    """Under CA user 0, all of whose reports are 0, takes the all-zero
+    channel 0 from user 1 by the lowest-index tie-break.  Its rate is 0, yet
+    the cell's rates are summed in a new order: the marginal value is
+    -8.88e-16, not 0."""
+    net = _two_bs([[0.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 2.2406115710882433],
+                   [0.0, 3.4563512090281696, 0.0, 0.0],
+                   [0.0, 0.0, 5.276002188845262, 0.0]], 4.0)
+    ev = Evaluator(net, GameMode(strategy=CA))
+    assert contenders(net, 0, {1, 2, 3}, ev.reports, CA)[0]
+    marginal = Evaluator(net, GameMode(strategy=CA)).utility_in(
+        0, 0, frozenset({0, 1, 2, 3}))
+    assert marginal != 0.0
+    assert ev.move_utility((1, 0, 0, 0), 0, 0) == marginal
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_non_contender_move_makes_no_solve(strategy, monkeypatch):
+    # user 2 reports nothing on BS 0's channels
+    net = NetworkInstance(
+        gain=np.array([[2.0, 1.0, 0.5, 0.5], [1.0, 3.0, 0.5, 0.5],
+                       [0.0, 0.0, 1.0, 2.0]]),
+        noise=np.ones((3, 4)), channels_of_bs=[np.arange(2), np.arange(2, 4)],
+        budget=[2.0, 2.0], weight=[1.0, 1.0], bandwidth=[1.0, 1.0], tau=1.0)
+    ev = Evaluator(net, GameMode(strategy=strategy))
+    a = (0, 0, 1)
+    ev.system_value(a)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("cell solve for a non-contender")
+
+    monkeypatch.setattr(assoc_game, "solve_cell", no_solve)
+    assert ev.move_utility(a, 2, 0) == 0.0

@@ -12,7 +12,7 @@ from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
                                    run, step, update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig, generate)
-from ofdma_assoc.per_bs_alloc import CA, CAPA, solve_capa
+from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of, solve_capa
 
 
 def positioned_network():
@@ -285,7 +285,46 @@ class TestEvents:
         assert is_ne(net, state.profile, mode, ev)
 
 
+def reference_interference_noise(net, a, allocations):
+    """The per-user, per-channel loop that `update_interference_noise`
+    vectorizes; returns the new noise array."""
+    noise = net.thermal_noise.copy()
+    n_sub = max(len(chans) for chans in net.channels_of_bs)
+    powers = np.zeros((net.num_bss, n_sub))
+    for w, alloc in allocations.items():
+        powers[w, :len(alloc.power)] = alloc.power
+    for i in range(net.num_users):
+        w_serv = a[i]
+        for pos, k in enumerate(net.channels_of_bs[w_serv]):
+            interf = 0.0
+            for w in range(net.num_bss):
+                if w == w_serv or pos >= len(net.channels_of_bs[w]):
+                    continue
+                k_other = net.channels_of_bs[w][pos]
+                interf += net.gain[i, k_other] * powers[w, pos]
+            noise[i, k] += interf
+    return noise
+
+
 class TestInterference:
+    def test_matches_reference_loop(self, rng):
+        """Bit-identical to the loop on random profiles, equal and unequal
+        blocks (3/3/2/2 among them), and BSs without an allocation."""
+        for case in range(240):
+            blocks = ([3, 3, 2, 2] if case % 4 == 0 else
+                      [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))])
+            net = random_network(rng, n_users=int(rng.integers(1, 8)),
+                                 n_bss=len(blocks), chans_per_bs=blocks)
+            net.thermal_noise = rng.uniform(0.5, 2.0, size=net.noise.shape)
+            a = tuple(int(w) for w in rng.integers(0, net.num_bss, net.num_users))
+            g = net.normalized_gain()
+            allocs = {w: solve_capa(net, w, users, g)
+                      for w, users in enumerate(cells_of(a, net.num_bss))
+                      if users}
+            expected = reference_interference_noise(net, a, allocs)
+            update_interference_noise(net, a, allocs)
+            assert np.array_equal(net.noise, expected)
+
     def test_single_bs_noise_unchanged(self, rng):
         net = random_network(rng, n_bss=1)
         alloc = solve_capa(net, 0, range(net.num_users), net.normalized_gain())
