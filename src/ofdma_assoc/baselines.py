@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .assoc_game import Evaluator, GameMode
+from .assoc_game import Evaluator, GameMode, _eval
 from .mechanism import nearest_bs_profile
 from .net_model import NetworkInstance
 from .per_bs_alloc import CAPA
@@ -25,15 +25,9 @@ class BaselineResult:
     evaluations: int
 
 
-def _evaluator(net, strategy, evaluator) -> Evaluator:
-    if evaluator is not None:
-        return evaluator
-    return Evaluator(net, GameMode(strategy=strategy))
-
-
 def nearest_bs(net: NetworkInstance, strategy: str = CAPA,
                evaluator: Optional[Evaluator] = None) -> BaselineResult:
-    ev = _evaluator(net, strategy, evaluator)
+    ev = _eval(net, GameMode(strategy=strategy), evaluator)
     profile = nearest_bs_profile(net)
     return BaselineResult(profile=profile,
                           throughput=ev.system_value(profile), evaluations=1)
@@ -57,7 +51,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     """Global optimum over the pruned profile space, by depth-first search
     with an additive upper bound from singleton cell values (valid because
     cell throughput is monotone submodular in the user set)."""
-    ev = _evaluator(net, strategy, evaluator)
+    ev = _eval(net, GameMode(strategy=strategy), evaluator)
     cands = candidate_bss(net)
     space = 1
     for c in cands:
@@ -109,7 +103,7 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
             start: Optional[Sequence[int]] = None) -> BaselineResult:
     """Steepest single-user-move ascent on the system objective, starting
     from the nearest-BS profile."""
-    ev = _evaluator(net, strategy, evaluator)
+    ev = _eval(net, GameMode(strategy=strategy), evaluator)
     a = [int(w) for w in (nearest_bs_profile(net) if start is None else start)]
     value = ev.system_value(a)
     evals = 1
@@ -137,6 +131,6 @@ def multi_connect_bound(net: NetworkInstance, strategy: str = CAPA,
                         evaluator: Optional[Evaluator] = None) -> float:
     """Strict upper bound: every BS allocates as if all users were in its
     cell simultaneously."""
-    ev = _evaluator(net, strategy, evaluator)
+    ev = _eval(net, GameMode(strategy=strategy), evaluator)
     everyone = frozenset(range(net.num_users))
     return sum(ev.cell(w, everyone).value for w in range(net.num_bss))

@@ -237,15 +237,13 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
     # interf[i, pos]: what user i receives at block position pos from
     # every BS but its own
     interf = np.zeros((net.num_users, n_sub))
-    bs_of = np.empty(net.num_channels, dtype=int)
     pos_of = np.empty(net.num_channels, dtype=int)
     for w, chans in enumerate(net.channels_of_bs):
-        bs_of[chans] = w
         pos_of[chans] = np.arange(len(chans))
         alloc = allocations.get(w)
         if alloc is not None:
             cross = net.gain[:, chans] * alloc.power
             cross[a == w] = 0.0       # a user's own BS does not interfere
             interf[:, :len(chans)] += cross
-    serving = bs_of == a[:, None]
+    serving = net.bs_of_channel() == a[:, None]
     net.noise = net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -226,6 +226,27 @@ def _indoor_positions(cfg: ScenarioConfig, rng: np.random.Generator):
     return users, bss
 
 
+def _scenario_instance(cfg: ScenarioConfig, gain: np.ndarray,
+                       chans: List[np.ndarray], df: float,
+                       user_pos: np.ndarray, bs_pos: np.ndarray,
+                       gain_mean: np.ndarray) -> NetworkInstance:
+    """The instance both scenario generators build from their draws: flat
+    thermal noise, equal BS budgets, unit weights, subcarrier spacing df."""
+    w_cnt = len(chans)
+    return NetworkInstance(
+        gain=gain,
+        noise=np.full(gain.shape, dbm_to_watts(cfg.noise_psd_dbm_hz) * df),
+        channels_of_bs=chans,
+        budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
+        weight=np.ones(w_cnt),
+        bandwidth=np.full(w_cnt, df),
+        tau=capacity_gap(cfg.ber),
+        user_pos=user_pos,
+        bs_pos=bs_pos,
+        gain_mean=gain_mean,
+    )
+
+
 def gen_indoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstance:
     """Office-area scenario: exponential per-channel gains with log-normal
     shadowing over the indoor office path-loss model."""
@@ -247,19 +268,7 @@ def gen_indoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstance
         gain[:, chans[w]] = rng.exponential(
             scale=sigma2[:, None], size=(n, len(chans[w])))
 
-    noise = np.full((n, k), dbm_to_watts(cfg.noise_psd_dbm_hz) * df)
-    return NetworkInstance(
-        gain=gain,
-        noise=noise,
-        channels_of_bs=chans,
-        budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
-        weight=np.ones(w_cnt),
-        bandwidth=np.full(w_cnt, df),
-        tau=capacity_gap(cfg.ber),
-        user_pos=user_pos,
-        bs_pos=bs_pos,
-        gain_mean=gain_mean,
-    )
+    return _scenario_instance(cfg, gain, chans, df, user_pos, bs_pos, gain_mean)
 
 
 def hex_layout(d_km: float, n_cells: int = 7) -> np.ndarray:
@@ -321,19 +330,7 @@ def gen_outdoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstanc
             gain[i, chans[w]] = base[i] * _peda_subcarrier_gains(
                 rng, n_sub, cfg.total_bandwidth_hz)
 
-    noise = np.full((n, k), dbm_to_watts(cfg.noise_psd_dbm_hz) * df)
-    return NetworkInstance(
-        gain=gain,
-        noise=noise,
-        channels_of_bs=chans,
-        budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
-        weight=np.ones(w_cnt),
-        bandwidth=np.full(w_cnt, df),
-        tau=capacity_gap(cfg.ber),
-        user_pos=user_pos,
-        bs_pos=bs_pos,
-        gain_mean=gain_mean,
-    )
+    return _scenario_instance(cfg, gain, chans, df, user_pos, bs_pos, gain_mean)
 
 
 def generate(cfg: ScenarioConfig, rng: Optional[np.random.Generator] = None) -> NetworkInstance:

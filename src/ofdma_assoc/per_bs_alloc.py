@@ -241,9 +241,13 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
 
 
 def cells_of(a: Sequence[int], num_bss: int) -> Tuple[FrozenSet[int], ...]:
-    """Per-BS member sets of the association profile `a`."""
+    """Per-BS member sets of the association profile `a`, whose entries
+    must be BS indices in 0..num_bss-1."""
     sets: List[set] = [set() for _ in range(num_bss)]
     for i, w in enumerate(a):
+        if not 0 <= w < num_bss:
+            raise InvalidArgumentError(
+                f"user {i} has BS index {w}, outside 0..{num_bss - 1}")
         sets[w].add(i)
     return tuple(frozenset(s) for s in sets)
 

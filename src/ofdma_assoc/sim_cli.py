@@ -1,6 +1,5 @@
 """Command-line front end: instance generation, single runs, seeded Monte
-Carlo campaigns with CSV/JSON emission, manifest replay, and the fixture
-verification battery.
+Carlo campaigns with CSV/JSON emission, and manifest replay.
 
 Output determinism is a contract: identical (config, base seed) produce
 byte-identical files.  Every trial owns the derived seed base_seed + trial
@@ -20,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import baselines, fixtures, mechanism
+from . import baselines, mechanism
 from .assoc_game import Evaluator, GameMode
 from .baselines import SearchSpaceTooLargeError
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
@@ -318,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="re-run a campaign from its manifest")
     p.add_argument("manifest")
     p.add_argument("--outdir", required=True)
-
-    sub.add_parser("verify", help="run the hard-coded fixture assertions")
     return parser
 
 
@@ -381,13 +378,6 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _cmd_verify(_args) -> int:
-    rep = fixtures.verify_examples()
-    for line in rep.lines():
-        print(line)
-    return 0 if rep.passed else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
@@ -395,7 +385,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "run": _cmd_run,
         "campaign": _cmd_campaign,
         "replay": _cmd_replay,
-        "verify": _cmd_verify,
     }[args.command]
     return handler(args)
 

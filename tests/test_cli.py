@@ -1,13 +1,17 @@
+import argparse
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig)
-from ofdma_assoc.sim_cli import Campaign, main, replay, run_campaign, write_outputs
+from ofdma_assoc.sim_cli import (Campaign, build_parser, main, replay,
+                                 run_campaign, write_outputs)
 
 
 def small_campaign(**overrides):
@@ -109,10 +113,16 @@ class TestReplay:
 
 
 class TestCliSurface:
-    def test_verify_exit_zero(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+    def test_readme_lists_every_subcommand(self):
+        """The README's CLI block shows one `ofdma-assoc <subcommand>` line
+        per subcommand of the parser, and no other."""
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        listed = set(re.findall(r"^ofdma-assoc (\S+)", block, re.MULTILINE))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert listed == set(sub.choices)
 
     def test_generate_emits_instance(self, capsys):
         assert main(["generate", "--seed", "5", "--users", "3",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -174,6 +175,24 @@ class TestOutdoorScenario:
         cfg = ScenarioConfig(mode="outdoor", num_users=4, num_bss=7,
                              num_channels=16, seed=8)
         assert np.array_equal(generate(cfg).gain, generate(cfg).gain)
+
+
+class TestGeneratorDigests:
+    """Pin the generated instances themselves, not only their
+    reproducibility, so that a refactor of a generator cannot change
+    its values or the order of its random draws unnoticed."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (ScenarioConfig(mode="indoor", num_users=6, num_bss=3,
+                        num_channels=10, seed=11),
+         "4611b84d1b8a4cf6fcf50eb56b943bd3845acb2dca16d63400ed0920c914d8b6"),
+        (ScenarioConfig(mode="outdoor", num_users=5, num_bss=7,
+                        num_channels=8, seed=11),
+         "df2641bef1b05ceccae9777cd31f85a09d86fc8243aaf4b0f7754159dcaad28b"),
+    ], ids=["indoor", "outdoor"])
+    def test_instance_json_digest(self, cfg, digest):
+        payload = generate(cfg).to_json().encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestEstimationError:

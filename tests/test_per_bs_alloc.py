@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import random_network
-from ofdma_assoc import fixtures
+from ofdma_assoc import fixtures, vcg
+from ofdma_assoc.assoc_game import system_throughput
 from ofdma_assoc.net_model import InvalidArgumentError
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, Allocation,
-                                      NoUsableChannelError, realized_rates,
-                                      reported_rates, solve_ca, solve_capa,
-                                      solve_cell, water_fill)
+                                      NoUsableChannelError, cells_of,
+                                      realized_rates, reported_rates,
+                                      solve_ca, solve_capa, solve_cell,
+                                      water_fill)
 from ofdma_assoc.sim_cli import _realized
 
 
@@ -107,7 +109,7 @@ class TestSolveCA:
         assert alloc.beta.tolist() == [0, 0, 1]
         assert alloc.power == pytest.approx([1.0, 1.0, 1.0])
         per_bs, _ = _realized(net, [0, 0], net.normalized_gain(), CA)
-        assert per_bs[0] == pytest.approx(3 * math.log(3), abs=1e-3)
+        assert per_bs[0] == pytest.approx(3 * math.log(3), abs=1e-9)
 
     def test_single_user_gets_everything(self, rng):
         net = random_network(rng, n_users=3, n_bss=1, chans_per_bs=[4])
@@ -206,9 +208,10 @@ class TestRates:
         reports = net.normalized_gain()
         reports[1] = [3.0, 3.0, 2.0]
         alloc = solve_ca(net, 0, [0, 1], reports)
+        assert alloc.beta.tolist() == [1, 1, 1]
         rates = realized_rates(net, 0, alloc, [0, 1])
         assert rates[0] == 0.0
-        assert rates[1] == pytest.approx(2 * math.log(1.5) + math.log(3), abs=1e-3)
+        assert rates[1] == pytest.approx(2 * math.log(1.5) + math.log(3), abs=1e-9)
 
     def test_truthful_reported_equals_realized(self, rng):
         net = random_network(rng)
@@ -233,6 +236,22 @@ class TestRates:
         a = [1] * net.num_users
         per_bs, _ = _realized(net, a, net.normalized_gain(), CAPA)
         assert per_bs[0] == 0.0
+
+
+class TestCellsOf:
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_bs_index_rejected(self, bad):
+        """An entry outside 0..W-1 must not wrap around to the last BS or
+        surface as a bare IndexError, at L0 or through its callers."""
+        net = fixtures.example2_ca_network()
+        profile = (bad, 0, 0)
+        match = f"user 0 has BS index {bad}"
+        with pytest.raises(InvalidArgumentError, match=match):
+            cells_of(profile, net.num_bss)
+        with pytest.raises(InvalidArgumentError, match=match):
+            system_throughput(net, profile, CA)
+        with pytest.raises(InvalidArgumentError, match=match):
+            vcg.utility(net, profile, 0, None, CA)
 
 
 class TestStructuralProperties:
