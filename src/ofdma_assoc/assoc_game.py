@@ -7,6 +7,7 @@ users in the cell, so an Evaluator memoizes per-(BS, user-set) solves;
 enumeration and the dynamic mechanism both ride on that cache.  A user
 that is not a contender of a cell (`per_bs_alloc.contenders`) cannot change
 it by joining or leaving, so its utility there is exactly 0 without a solve.
+Each cached cell also keeps every user's utility there (`utilities`).
 """
 
 import itertools
@@ -34,11 +35,13 @@ class CellResult:
     value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
     contenders: Optional[Tuple[bool, ...]] = None   # per user, filled on first use
+    row: Optional[Tuple[float, ...]] = None         # per user utility, filled on first use
 
 
 class Evaluator:
-    """Memoized per-cell solves for a fixed instance / reports / mode, plus
-    the member sets of the last profile queried."""
+    """Memoized per-cell solves and utility rows for a fixed instance /
+    reports / mode, plus the member sets and rows of the last profile
+    queried."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -48,6 +51,8 @@ class Evaluator:
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
         self._cells_key: Optional[Tuple[int, ...]] = None
         self._cells: Tuple[FrozenSet[int], ...] = ()
+        self._rows_key: Optional[Tuple[int, ...]] = None
+        self._rows: Tuple[Tuple[float, ...], ...] = ()
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)
@@ -85,14 +90,14 @@ class Evaluator:
         without_i = self.cell(w, members - {i})
         return with_i.value - without_i.value
 
-    def _contends(self, res: CellResult, w: int, members: FrozenSet[int],
-                  i: int) -> bool:
-        """Whether user i joining or leaving cell (w, members), whose cached
-        result is `res`, can change the cell."""
+    def _contenders(self, res: CellResult, w: int,
+                    members: FrozenSet[int]) -> Tuple[bool, ...]:
+        """Per user, whether joining or leaving cell (w, members), whose
+        cached result is `res`, can change the cell."""
         if res.contenders is None:
             res.contenders = tuple(contenders(
                 self.net, w, members, self.reports, self.mode.strategy).tolist())
-        return res.contenders[i]
+        return res.contenders
 
     def utility(self, a: Sequence[int], i: int) -> float:
         """`utility_in` at i's own cell, without the solve of the cell
@@ -102,7 +107,7 @@ class Evaluator:
         here = self.cell(w, members)
         if not self.mode.taxed:
             return here.rates.get(i, 0.0)
-        if not self._contends(here, w, members, i):
+        if not self._contenders(here, w, members)[i]:
             return 0.0
         return here.value - self.cell(w, members - {i}).value
 
@@ -112,12 +117,35 @@ class Evaluator:
         change the cell."""
         members = self.cells_of(a)[w]
         there = self.cell(w, members)
-        if not self._contends(there, w, members, i):
+        if not self._contenders(there, w, members)[i]:
             return 0.0
         joined = self.cell(w, members | {i})
         if not self.mode.taxed:
             return joined.rates.get(i, 0.0)
         return joined.value - there.value
+
+    def utilities(self, a: Sequence[int]) -> Tuple[Tuple[float, ...], ...]:
+        """Per BS w, every user's utility at w's cell under profile `a`:
+        `utility` for its members, `move_utility` for the others.  A row
+        depends only on its cell, so it is kept with the cached cell."""
+        key = tuple(a)
+        if key != self._rows_key:
+            self._rows = tuple(self._row(key, w, s)
+                               for w, s in enumerate(self.cells_of(key)))
+            self._rows_key = key
+        return self._rows
+
+    def _row(self, a: Tuple[int, ...], w: int, members: FrozenSet[int]):
+        res = self.cell(w, members)
+        if res.row is None:
+            # a taxed non-contender's utility is 0 (see `utility`)
+            con, taxed = self._contenders(res, w, members), self.mode.taxed
+            res.row = tuple(
+                0.0 if taxed and not con[i]
+                else self.utility(a, i) if a[i] == w
+                else self.move_utility(a, i, w)
+                for i in range(len(a)))
+        return res.row
 
 
 def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:
@@ -129,15 +157,10 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], i: int,
                      margin: float = 0.0) -> List[int]:
     """BSs offering user i strictly higher utility than its current one.
     `margin` adds a switching cost to the comparison."""
-    ev = _eval(net, mode, evaluator)
-    current = ev.utility(a, i)
-    out = []
-    for w in range(net.num_bss):
-        if w == a[i]:
-            continue
-        if ev.move_utility(a, i, w) > current + margin + STRICT_TOL:
-            out.append(w)
-    return out
+    rows = _eval(net, mode, evaluator).utilities(a)
+    here = a[i]
+    bar = rows[here][i] + margin + STRICT_TOL
+    return [w for w, row in enumerate(rows) if w != here and row[i] > bar]
 
 
 def is_ne(net: NetworkInstance, a: Sequence[int], mode: GameMode,

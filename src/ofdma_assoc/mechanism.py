@@ -103,9 +103,9 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     a = state.profile
     next_a = list(a)
+    costs = state.costs.tolist()
     for i in range(net.num_users):
-        br = better_reply_set(net, a, i, mode, ev,
-                              margin=float(state.costs[i]))
+        br = better_reply_set(net, a, i, mode, ev, margin=costs[i])
         w_star = br[state.rng.integers(0, len(br))] if br else a[i]
         state.memories[i].appendleft(w_star)
         mem = state.memories[i]
@@ -126,18 +126,24 @@ class RunResult:
 
 def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[float]],
         max_iter: int, seed: int, mode: GameMode = GameMode(),
-        reports: Optional[np.ndarray] = None,
-        interference: bool = False) -> RunResult:
+        reports: Optional[np.ndarray] = None, interference: bool = False,
+        evaluator: Optional[Evaluator] = None) -> RunResult:
     """Iterate the mechanism until the stopping rule fires or max_iter is
     reached.  With `interference`, per-user noise entries are refreshed from
     the other cells' latest power allocations before each BS round; the
-    noise refresh works on a copy, so the caller's instance is unchanged."""
+    noise refresh works on a copy, so the caller's instance is unchanged.
+    An `evaluator` of `net` and `mode` (and its reports) shares its cache
+    with the caller; interference mode changes the instance, so takes none."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
+    if evaluator is not None and (evaluator.net is not net or evaluator.mode != mode
+                                  or interference or reports is not None):
+        raise InvalidArgumentError("evaluator must be of this net and mode, "
+                                   "without interference or reports")
     if interference:
         net = dataclasses.replace(net, noise=net.noise.copy())
     state = init_state(net, memory_len, costs, seed)
-    ev = Evaluator(net, mode, reports)
+    ev = evaluator if evaluator is not None else Evaluator(net, mode, reports)
     _record(state, ev)
     while state.iteration < max_iter and state.stable < memory_len:
         if interference:

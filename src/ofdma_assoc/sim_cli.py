@@ -113,7 +113,7 @@ def _run_point(campaign: Campaign, d: float, cost: float,
         for alg in campaign.algorithms:
             if alg == "dbsa":
                 res = mechanism.run(net, m, cost, campaign.max_iter, seed,
-                                    mode=mode, reports=reports)
+                                    mode=mode, evaluator=ev)
                 per_bs, per_user = _realized(net, res.profile, ev.reports, strategy)
                 row.throughput[alg].append(sum(per_bs))
                 row.iterations.append(res.iterations)

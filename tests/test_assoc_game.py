@@ -136,6 +136,20 @@ class TestMemberSetMemo:
             for w in range(net.num_bss):
                 assert ev.move_utility(a, i, w) == fresh.move_utility(a, i, w)
 
+    def test_in_place_change_gets_fresh_better_replies(self, rng):
+        """Likewise for the utility rows behind `better_reply_set`."""
+        net = random_network(rng, n_users=5, n_bss=3)
+        mode = GameMode()
+        ev = Evaluator(net, mode)
+        a = [0, 1, 2, 0, 1]
+        old = [better_reply_set(net, a, i, mode, ev) for i in range(5)]
+        a[0], a[3] = 2, 1
+        fresh = Evaluator(net, mode)
+        new = [better_reply_set(net, a, i, mode, ev) for i in range(5)]
+        assert new == [better_reply_set(net, a, i, mode, fresh) for i in range(5)]
+        assert new != old
+        assert ev.utilities(a) == fresh.utilities(a)
+
 
 class TestDeviationIdentity:
     def test_residual_small_on_random_moves(self, rng):

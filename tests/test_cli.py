@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from ofdma_assoc.assoc_game import Evaluator
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig)
 from ofdma_assoc.sim_cli import (Campaign, build_parser, main, replay,
@@ -44,6 +45,22 @@ class TestCampaign:
         assert row.error is None
         assert len(row.throughput["dbsa"]) == 1
         assert len(row.iterations) == 1
+
+    def test_one_evaluator_per_trial(self, monkeypatch):
+        """The DBSA run shares the trial's Evaluator with the baselines,
+        including under estimation error."""
+        built = []
+        init = Evaluator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Evaluator, "__init__", counting_init)
+        c = small_campaign(cer_values=(math.inf, 0.0))
+        rows = run_campaign(c)
+        assert all(row.error is None for row in rows)
+        assert len(built) == c.trials * len(c.d_values) * len(c.cer_values)
 
     def test_sample_counts(self):
         c = small_campaign()

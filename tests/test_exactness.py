@@ -304,3 +304,43 @@ def test_non_contender_move_makes_no_solve(strategy, monkeypatch):
 
     monkeypatch.setattr(assoc_game, "solve_cell", no_solve)
     assert ev.move_utility(a, 2, 0) == 0.0
+
+
+# -- better replies from the per-cell utility rows -------------------------
+
+
+def ref_better_reply_set(net, a, i, mode, ev, margin=0.0):
+    """The per-query body the row lookup replaced."""
+    current = ev.utility(a, i)
+    out = []
+    for w in range(net.num_bss):
+        if w == a[i]:
+            continue
+        if ev.move_utility(a, i, w) > current + margin + assoc_game.STRICT_TOL:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("taxed", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_better_replies_match_per_query_reference(strategy, taxed):
+    """One Evaluator walks through several profiles, so rows cached under
+    one profile serve the next; every answer matches a fresh Evaluator's
+    scalar queries."""
+    rng = np.random.default_rng(8)
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    for _ in range(100):
+        net = _network(rng)
+        ev = Evaluator(net, mode)
+        for _ in range(6):
+            a = tuple(int(x) for x in rng.integers(0, net.num_bss, net.num_users))
+            ref = Evaluator(net, mode)
+            rows = ev.utilities(a)
+            for i in range(net.num_users):
+                for w in range(net.num_bss):
+                    scalar = (ref.utility(a, i) if w == a[i]
+                              else ref.move_utility(a, i, w))
+                    assert rows[w][i] == scalar
+                for margin in (0.0, float(rng.uniform(0.0, 2.0)), math.inf):
+                    got = assoc_game.better_reply_set(net, a, i, mode, ev, margin)
+                    assert got == ref_better_reply_set(net, a, i, mode, ref, margin)

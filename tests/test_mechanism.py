@@ -166,6 +166,32 @@ class TestRun:
             assert res.converged
             assert res.is_ne
 
+    def test_shared_evaluator_run_equals_fresh_run(self, rng):
+        for _ in range(10):
+            net = random_network(rng, n_users=int(rng.integers(2, 6)),
+                                 n_bss=int(rng.integers(2, 4)))
+            reports = net.normalized_gain() * rng.uniform(0.5, 1.5, net.gain.shape)
+            seed = int(rng.integers(10 ** 6))
+            ev = Evaluator(net, GameMode(), reports)
+            ev.system_value(nearest_bs_profile(net))
+            shared = run(net, 3, 0.1, 200, seed, evaluator=ev)
+            fresh = run(net, 3, 0.1, 200, seed, reports=reports)
+            assert shared == fresh
+
+    @pytest.mark.parametrize("mismatch", [
+        dict(net=positioned_network()),
+        dict(mode=GameMode(strategy=CA)),
+        dict(interference=True),
+        dict(reports=positioned_network().normalized_gain()),
+    ], ids=["net", "mode", "interference", "reports"])
+    def test_shared_evaluator_rejected(self, mismatch):
+        net = positioned_network()
+        ev = Evaluator(net, GameMode())
+        args = dict(net=net, memory_len=3, costs=0.0, max_iter=50, seed=1)
+        args.update(mismatch)
+        with pytest.raises(InvalidArgumentError):
+            run(evaluator=ev, **args)
+
 
 class TestProfileType:
     def test_profiles_are_int_tuples(self, rng):
