@@ -40,8 +40,7 @@ class CellResult:
 
 class Evaluator:
     """Memoized per-cell solves and utility rows for a fixed instance /
-    reports / mode, plus the member sets and rows of the last profile
-    queried."""
+    reports / mode, plus the member sets and rows of the last profile."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -51,8 +50,7 @@ class Evaluator:
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
         self._cells_key: Optional[Tuple[int, ...]] = None
         self._cells: Tuple[FrozenSet[int], ...] = ()
-        self._rows_key: Optional[Tuple[int, ...]] = None
-        self._rows: Tuple[Tuple[float, ...], ...] = ()
+        self._rows: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)
@@ -72,10 +70,11 @@ class Evaluator:
 
     def cells_of(self, a: Sequence[int]) -> Tuple[FrozenSet[int], ...]:
         """Per-BS member sets of profile `a`, reused while the profile
-        queried stays the same."""
+        queried stays the same; a new profile also drops its rows."""
         key = tuple(a)
         if key != self._cells_key:
             self._cells_key, self._cells = key, cells_of(a, self.net.num_bss)
+            self._rows = None
         return self._cells
 
     def system_value(self, a: Sequence[int]) -> float:
@@ -128,11 +127,10 @@ class Evaluator:
         """Per BS w, every user's utility at w's cell under profile `a`:
         `utility` for its members, `move_utility` for the others.  A row
         depends only on its cell, so it is kept with the cached cell."""
-        key = tuple(a)
-        if key != self._rows_key:
-            self._rows = tuple(self._row(key, w, s)
-                               for w, s in enumerate(self.cells_of(key)))
-            self._rows_key = key
+        cells = self.cells_of(a)
+        if self._rows is None:
+            key = self._cells_key
+            self._rows = tuple(self._row(key, w, s) for w, s in enumerate(cells))
         return self._rows
 
     def _row(self, a: Tuple[int, ...], w: int, members: FrozenSet[int]):
@@ -156,7 +154,8 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], i: int,
                      mode: GameMode, evaluator: Optional[Evaluator] = None,
                      margin: float = 0.0) -> List[int]:
     """BSs offering user i strictly higher utility than its current one.
-    `margin` adds a switching cost to the comparison."""
+    `margin` adds a switching cost.  Reads all N·W `Evaluator.utilities`
+    of `a`: share an `evaluator` across users, or each call builds them."""
     rows = _eval(net, mode, evaluator).utilities(a)
     here = a[i]
     bar = rows[here][i] + margin + STRICT_TOL
@@ -165,6 +164,7 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], i: int,
 
 def is_ne(net: NetworkInstance, a: Sequence[int], mode: GameMode,
           evaluator: Optional[Evaluator] = None) -> bool:
+    """No user has a better reply; builds all N·W utilities first."""
     ev = _eval(net, mode, evaluator)
     return all(not better_reply_set(net, a, i, mode, ev)
                for i in range(net.num_users))

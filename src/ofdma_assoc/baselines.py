@@ -72,7 +72,6 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     best_profile: Optional[Tuple[int, ...]] = None
     profile = [0] * n
     cells: List[frozenset] = [frozenset() for _ in range(net.num_bss)]
-    vals = [0.0] * net.num_bss        # ev.cell(w, cells[w]).value
     evals = 0
 
     def dfs(i: int, value: float):
@@ -86,13 +85,13 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                 best_profile = tuple(profile)
             return
         for w in cands[i]:
-            old, old_val = cells[w], vals[w]
+            old = cells[w]
             new = old | {i}
-            new_val = ev.cell(w, new).value
-            cells[w], vals[w] = new, new_val
+            delta = ev.cell(w, new).value - ev.cell(w, old).value
+            cells[w] = new
             profile[i] = w
-            dfs(i + 1, value + (new_val - old_val))
-            cells[w], vals[w] = old, old_val
+            dfs(i + 1, value + delta)
+            cells[w] = old
 
     dfs(0, 0.0)
     return BaselineResult(profile=best_profile, throughput=best_value,

@@ -126,24 +126,24 @@ class RunResult:
 
 def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[float]],
         max_iter: int, seed: int, mode: GameMode = GameMode(),
-        reports: Optional[np.ndarray] = None, interference: bool = False,
+        interference: bool = False,
         evaluator: Optional[Evaluator] = None) -> RunResult:
     """Iterate the mechanism until the stopping rule fires or max_iter is
     reached.  With `interference`, per-user noise entries are refreshed from
     the other cells' latest power allocations before each BS round; the
     noise refresh works on a copy, so the caller's instance is unchanged.
-    An `evaluator` of `net` and `mode` (and its reports) shares its cache
-    with the caller; interference mode changes the instance, so takes none."""
+    An `evaluator` of `net` and `mode` supplies the reports and shares its
+    cache; interference mode changes the instance, so takes none."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
     if evaluator is not None and (evaluator.net is not net or evaluator.mode != mode
-                                  or interference or reports is not None):
+                                  or interference):
         raise InvalidArgumentError("evaluator must be of this net and mode, "
-                                   "without interference or reports")
+                                   "without interference")
     if interference:
         net = dataclasses.replace(net, noise=net.noise.copy())
     state = init_state(net, memory_len, costs, seed)
-    ev = evaluator if evaluator is not None else Evaluator(net, mode, reports)
+    ev = evaluator if evaluator is not None else Evaluator(net, mode)
     _record(state, ev)
     while state.iteration < max_iter and state.stable < memory_len:
         if interference:
@@ -151,7 +151,7 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
                       for w, users in enumerate(ev.cells_of(state.profile))
                       if users}
             update_interference_noise(net, state.profile, allocs)
-            ev = Evaluator(net, mode, reports)
+            ev = Evaluator(net, mode)
         step(net, state, mode, ev)
         _record(state, ev)
     converged = state.stable >= memory_len

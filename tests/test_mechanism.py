@@ -175,15 +175,17 @@ class TestRun:
             ev = Evaluator(net, GameMode(), reports)
             ev.system_value(nearest_bs_profile(net))
             shared = run(net, 3, 0.1, 200, seed, evaluator=ev)
-            fresh = run(net, 3, 0.1, 200, seed, reports=reports)
+            fresh = run(net, 3, 0.1, 200, seed,
+                        evaluator=Evaluator(net, GameMode(), reports))
             assert shared == fresh
+            assert run(net, 3, 0.1, 200, seed) == run(
+                net, 3, 0.1, 200, seed, evaluator=Evaluator(net, GameMode()))
 
     @pytest.mark.parametrize("mismatch", [
         dict(net=positioned_network()),
         dict(mode=GameMode(strategy=CA)),
         dict(interference=True),
-        dict(reports=positioned_network().normalized_gain()),
-    ], ids=["net", "mode", "interference", "reports"])
+    ], ids=["net", "mode", "interference"])
     def test_shared_evaluator_rejected(self, mismatch):
         net = positioned_network()
         ev = Evaluator(net, GameMode())
