@@ -30,12 +30,14 @@ class GameMode:
     taxed: bool = True            # False reproduces the taxless game
 
 
-@dataclass
+@dataclass(slots=True)            # one per cached cell: no per-instance dict
 class CellResult:
     value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
     contenders: Optional[Tuple[bool, ...]] = None   # per user, filled on first use
     row: Optional[Tuple[float, ...]] = None         # per user utility, filled on first use
+    # the solve's (held, best, bound) for `contenders`, dropped once it ran
+    solve: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
 
 
 class Evaluator:
@@ -61,10 +63,11 @@ class Evaluator:
             res = CellResult(0.0, {})
         else:
             alloc = solve_cell(self.net, w, users, self.reports, self.mode.strategy)
-            rates = reported_rates(self.net, alloc, self.reports)
+            rates = reported_rates(self.net, alloc)
             for u in users:
                 rates.setdefault(u, 0.0)
-            res = CellResult(self.net.weight[w] * sum(rates.values()), rates)
+            res = CellResult(self.net.weight[w] * sum(rates.values()), rates,
+                             solve=(alloc.held, alloc.best, alloc.bound))
         self._cache[key] = res
         return res
 
@@ -95,7 +98,9 @@ class Evaluator:
         cached result is `res`, can change the cell."""
         if res.contenders is None:
             res.contenders = tuple(contenders(
-                self.net, w, members, self.reports, self.mode.strategy).tolist())
+                self.net, w, members, self.reports, self.mode.strategy,
+                *(res.solve or ())).tolist())
+            res.solve = None
         return res.contenders
 
     def utility(self, a: Sequence[int], i: int) -> float:

@@ -48,6 +48,7 @@ class AddUsers:
     noise: np.ndarray             # (n_new, K)
     positions: Optional[np.ndarray] = None
     gain_mean: Optional[np.ndarray] = None   # (n_new, W)
+    costs: Union[float, Sequence[float]] = 0.0   # switching costs, one or per user
 
 
 @dataclass
@@ -75,12 +76,16 @@ def nearest_bs_profile(net: NetworkInstance) -> Tuple[int, ...]:
     return tuple(np.argmax(means, axis=1).tolist())
 
 
+def _costs(costs: Union[float, Sequence[float]], n: int) -> np.ndarray:
+    """Switching costs as an (n,) array: one for all users, or one each."""
+    return np.broadcast_to(np.asarray(costs, dtype=float), (n,)).copy()
+
+
 def init_state(net: NetworkInstance, memory_len: int,
                costs: Union[float, Sequence[float]], seed: int) -> MechanismState:
     if memory_len < 1:
         raise InvalidArgumentError("memory length must be >= 1")
-    costs = np.broadcast_to(np.asarray(costs, dtype=float),
-                            (net.num_users,)).copy()
+    costs = _costs(costs, net.num_users)
     memories = [deque(maxlen=memory_len) for _ in range(net.num_users)]
     return MechanismState(profile=nearest_bs_profile(net), memories=memories,
                           costs=costs, memory_len=memory_len,
@@ -99,17 +104,27 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
          evaluator: Optional[Evaluator] = None) -> None:
     """One synchronized round: every BS re-solves its cell (implicitly via
     the evaluator), then every user simultaneously pushes a better reply
-    into its memory and samples its next association from the memory."""
+    into its memory and samples its next association from the memory.
+
+    The round's draws come from one `rng.integers` call, in user order:
+    a better reply (only for a user that has one), then a memory slot.
+    An array of bounds draws the same values, and leaves the generator in
+    the same state, as one scalar call per bound."""
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     a = state.profile
-    next_a = list(a)
     costs = state.costs.tolist()
-    for i in range(net.num_users):
-        br = better_reply_set(net, a, i, mode, ev, margin=costs[i])
-        w_star = br[state.rng.integers(0, len(br))] if br else a[i]
-        state.memories[i].appendleft(w_star)
-        mem = state.memories[i]
-        next_a[i] = mem[state.rng.integers(0, len(mem))]
+    replies = [better_reply_set(net, a, i, mode, ev, margin=costs[i])
+               for i in range(net.num_users)]
+    highs: List[int] = []
+    for br, mem in zip(replies, state.memories):
+        if br:
+            highs.append(len(br))
+        highs.append(min(len(mem) + 1, state.memory_len))
+    draws = iter(state.rng.integers(0, highs).tolist() if highs else ())
+    next_a = []
+    for i, (br, mem) in enumerate(zip(replies, state.memories)):
+        mem.appendleft(br[next(draws)] if br else a[i])
+        next_a.append(mem[next(draws)])
     state.profile = tuple(next_a)
     state.iteration += 1
     state.stable = state.stable + 1 if state.profile == a else 0
@@ -132,8 +147,12 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     reached.  With `interference`, per-user noise entries are refreshed from
     the other cells' latest power allocations before each BS round; the
     noise refresh works on a copy, so the caller's instance is unchanged.
-    An `evaluator` of `net` and `mode` supplies the reports and shares its
-    cache; interference mode changes the instance, so takes none."""
+    A refresh that leaves the noise equal keeps the round's `Evaluator`
+    (same reports); after such a fixed point, a round whose profile did not
+    change skips the refresh (same cells on the same reports give the same
+    noise).  An `evaluator` of `net` and `mode` supplies the reports and
+    shares its cache; interference mode changes the instance, so takes
+    none."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
     if evaluator is not None and (evaluator.net is not net or evaluator.mode != mode
@@ -145,13 +164,17 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     state = init_state(net, memory_len, costs, seed)
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     _record(state, ev)
+    fixed = False                 # the last refresh left the noise equal
     while state.iteration < max_iter and state.stable < memory_len:
-        if interference:
+        if interference and not (fixed and state.stable >= 1):
             allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
                       for w, users in enumerate(ev.cells_of(state.profile))
                       if users}
+            noise = net.noise
             update_interference_noise(net, state.profile, allocs)
-            ev = Evaluator(net, mode)
+            fixed = np.array_equal(net.noise, noise)
+            if not fixed:
+                ev = Evaluator(net, mode)
         step(net, state, mode, ev)
         _record(state, ev)
     converged = state.stable >= memory_len
@@ -208,8 +231,7 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         state.profile += nearest_bs_profile(new_net)[net.num_users:]
         for _ in range(n_new):
             state.memories.append(deque(maxlen=state.memory_len))
-        state.costs = np.concatenate([state.costs,
-                                      np.full(n_new, float(state.costs[0]) if len(state.costs) else 0.0)])
+        state.costs = np.concatenate([state.costs, _costs(event.costs, n_new)])
         label = f"add_users:{n_new}"
     elif isinstance(event, RegenerateChannels):
         if net.gain_mean is None:

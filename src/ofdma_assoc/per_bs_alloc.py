@@ -9,7 +9,8 @@ to the lowest user index so runs replay deterministically.
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -30,30 +31,41 @@ class Allocation:
 
     beta[j] is the user assigned to the j-th channel of the BS (-1 when the
     cell is empty or the channel is left unassigned); channels[j] is the
-    global channel index.  water_level is the CAPA dual variable.
+    global channel index; best[j] is the report the channel was assigned
+    on, reports[beta[j], channels[j]].  water_level is the CAPA dual
+    variable.  held and bound are what `contenders` reads: the users
+    holding a channel that can carry power, and the CAPA admission bound
+    on a newcomer's inverse gain (inf under CA).
     """
 
     bs: int
     channels: np.ndarray
     beta: np.ndarray
     power: np.ndarray
+    best: np.ndarray
     water_level: Optional[float] = None
+    held: Optional[np.ndarray] = None
+    bound: float = math.inf
 
 
 def _empty_allocation(net: NetworkInstance, w: int) -> Allocation:
     chans = net.channels_of_bs[w]
     return Allocation(bs=w, channels=chans,
                       beta=np.full(len(chans), -1, dtype=int),
-                      power=np.zeros(len(chans)))
+                      power=np.zeros(len(chans)), best=np.zeros(len(chans)),
+                      held=np.zeros(0, dtype=int))
 
 
 def _best_user_per_channel(reports: np.ndarray, users: Sequence[int],
                            chans: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Argmax user (lowest index on ties) and best reported gain per channel."""
-    users = np.asarray(sorted(users), dtype=int)
-    sub = reports.take(users, 0).take(chans, 1)
-    idx = np.argmax(sub, axis=0)          # first occurrence = lowest user index
-    return users[idx], sub[idx, np.arange(len(chans))]
+    users = sorted(users)
+    if len(users) == 1:                   # the most common cell: no argmax
+        return np.full(len(chans), users[0]), reports[users[0]].take(chans)
+    rows = np.array(users, dtype=int)
+    sub = reports.take(rows, 0).take(chans, 1)
+    idx = sub.argmax(0)                   # first occurrence = lowest user index
+    return rows.take(idx), sub[idx, np.arange(len(chans))]
 
 
 def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
@@ -64,24 +76,36 @@ def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
     if not users:
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
-    beta, _ = _best_user_per_channel(reports, users, chans)
+    beta, best = _best_user_per_channel(reports, users, chans)
     power = np.full(len(chans), net.budget[w] / len(chans))
-    return Allocation(bs=w, channels=chans, beta=beta, power=power)
+    return Allocation(bs=w, channels=chans, beta=beta, power=power,
+                      best=best, held=beta)
 
 
-def _active_set(inv: np.ndarray, budget: float) -> Tuple[List[float], int, int, float]:
+class ActiveSet(NamedTuple):
     """The water-filling active-set rule over inverse gains `inv`.
 
-    Returns the inverse gains in ascending order, how many of them are
-    finite, how many the rule admits, and the water level lam (nan when no
-    entry is finite).  The admitted channels are the cheapest ones, grown
-    while the candidate water level still covers the next-cheapest channel.
+    The admitted channels are the cheapest ones, grown while the candidate
+    water level still covers the next-cheapest channel.  bound is the
+    first inverse gain the rule rejected, or max(lam, last admitted) when
+    it admitted every finite entry (inf when none is finite): an added
+    inverse gain at or above it sorts after the admitted prefix and is
+    rejected in turn.
     """
-    inv_sorted = np.sort(inv, kind="stable").tolist()
+
+    order: np.ndarray             # stable ascending order of inv
+    finite: int                   # how many entries are finite
+    active: int                   # how many the rule admits
+    lam: float                    # water level (nan when none is finite)
+    bound: float
+
+
+def _active_set(inv: np.ndarray, budget: float) -> ActiveSet:
+    order = inv.argsort(kind="stable")
+    inv_sorted = inv.take(order).tolist()
     n_fin = bisect.bisect_left(inv_sorted, math.inf)
     if n_fin == 0:
-        return inv_sorted, 0, 0, math.nan
-    budget = float(budget)
+        return ActiveSet(order, 0, 0, math.nan, math.inf)
     active = 1
     csum = inv_sorted[0]
     while active < n_fin:
@@ -91,23 +115,31 @@ def _active_set(inv: np.ndarray, budget: float) -> Tuple[List[float], int, int, 
             active += 1
         else:
             break
-    return inv_sorted, n_fin, active, (budget + csum) / active
+    lam = (budget + csum) / active
+    bound = (inv_sorted[active] if active < n_fin
+             else max(lam, inv_sorted[active - 1]))
+    return ActiveSet(order, n_fin, active, lam, bound)
 
 
-def water_fill(inv_gains: np.ndarray, budget: float) -> Tuple[np.ndarray, float]:
+def water_fill(inv_gains: np.ndarray, budget: float,
+               active_set: Optional[ActiveSet] = None) -> Tuple[np.ndarray, float]:
     """Water-filling over parallel channels with effective inverse gains.
 
     Returns powers p_k = max(0, lam - inv_gains[k]) with sum(p) == budget,
     and the water level lam.  Entries may be +inf (unusable channels).
+    A caller that already ran `_active_set` on these inputs passes it.
     """
+    budget = float(budget)
     if budget <= 0:
         raise InvalidArgumentError("budget must be positive")
     inv = np.asarray(inv_gains, dtype=float)
-    inv_sorted, n_fin, _, lam = _active_set(inv, budget)
-    if n_fin == 0:
+    rule = _active_set(inv, budget) if active_set is None else active_set
+    if rule.finite == 0:
         raise NoUsableChannelError("all channels have zero gain")
-    powers = np.maximum(lam - inv, 0.0)
-    if n_fin < len(inv_sorted):
+    lam = rule.lam
+    powers = lam - inv
+    np.maximum(powers, 0.0, out=powers)
+    if rule.finite < len(inv):
         powers[~np.isfinite(inv)] = 0.0
     # exactness of the budget despite float accumulation
     s = powers.sum()
@@ -133,41 +165,52 @@ def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
     if not users:
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
+    budget = float(net.budget[w])
     beta, best = _best_user_per_channel(reports, users, chans)
     inv = _inverse_gains(net.tau, best)
-    if inv.min(initial=math.inf) == math.inf:
-        alloc = _empty_allocation(net, w)
-        alloc.beta = beta
-        return alloc
-    power, lam = water_fill(inv, net.budget[w])
-    return Allocation(bs=w, channels=chans, beta=beta, power=power,
-                      water_level=lam)
+    rule = _active_set(inv, budget)
+    held = beta[rule.order[:rule.active]]
+    if rule.finite == 0:
+        return Allocation(bs=w, channels=chans, beta=beta,
+                          power=np.zeros(len(chans)), best=best, held=held)
+    power, lam = water_fill(inv, budget, rule)
+    return Allocation(bs=w, channels=chans, beta=beta, power=power, best=best,
+                      water_level=lam, held=held, bound=rule.bound)
 
 
-def _rates_from_alloc(net: NetworkInstance, alloc: Allocation,
-                      norm_gains: np.ndarray) -> Dict[int, float]:
-    """Per-user rates of an allocation under the given normalized gains,
-    summed per user in channel order."""
-    powers = alloc.power.tolist()
-    if max(powers, default=0.0) <= 0:
-        return {}                         # an empty cell or no usable channel
-    df = float(net.bandwidth[alloc.bs])
+def _rates(net: NetworkInstance, w: int, beta: List[int], powers: List[float],
+           gains: List[float]) -> Dict[int, float]:
+    """Per-user rates in cell w from the per-channel users, powers and
+    normalized gains, summed per user in channel order."""
+    df = float(net.bandwidth[w])
     tau = float(net.tau)
-    held = alloc.beta.tolist()
-    rows = alloc.beta if min(held) >= 0 else np.maximum(alloc.beta, 0)
-    gains = norm_gains[rows, alloc.channels].tolist()
     rates: Dict[int, float] = {}
-    for user, p, g in zip(held, powers, gains):
+    for user, p, g in zip(beta, powers, gains):
         if user < 0 or p <= 0:
             continue
         rates[user] = rates.get(user, 0.0) + df * math.log1p(g * p / tau)
     return rates
 
 
-def reported_rates(net: NetworkInstance, alloc: Allocation,
-                   reports: np.ndarray) -> Dict[int, float]:
-    """Rates as the BS evaluates them, i.e. from the reported gains."""
-    return _rates_from_alloc(net, alloc, reports)
+def _rates_from_alloc(net: NetworkInstance, alloc: Allocation,
+                      norm_gains: np.ndarray) -> Dict[int, float]:
+    """Per-user rates of an allocation under the given normalized gains."""
+    powers = alloc.power.tolist()
+    if max(powers, default=0.0) <= 0:
+        return {}                         # an empty cell or no usable channel
+    beta = alloc.beta.tolist()
+    rows = alloc.beta if min(beta) >= 0 else np.maximum(alloc.beta, 0)
+    gains = norm_gains[rows, alloc.channels].tolist()
+    return _rates(net, alloc.bs, beta, powers, gains)
+
+
+def reported_rates(net: NetworkInstance, alloc: Allocation) -> Dict[int, float]:
+    """Rates as the BS evaluates them, i.e. from the reports the allocation
+    was solved on (`alloc.best`)."""
+    powers = alloc.power.tolist()
+    if max(powers, default=0.0) <= 0:
+        return {}                         # an empty cell or no usable channel
+    return _rates(net, alloc.bs, alloc.beta.tolist(), powers, alloc.best.tolist())
 
 
 def realized_rates(net: NetworkInstance, w: int, alloc: Allocation,
@@ -190,51 +233,41 @@ def solve_cell(net: NetworkInstance, w: int, users: Iterable[int],
 
 
 def contenders(net: NetworkInstance, w: int, users: Iterable[int],
-               reports: np.ndarray, strategy: str) -> np.ndarray:
+               reports: np.ndarray, strategy: str,
+               held: Optional[np.ndarray] = None,
+               best: Optional[np.ndarray] = None,
+               bound: float = math.inf) -> np.ndarray:
     """(N,) bool: the users whose arrival in cell w (non-members) or
     departure from it (members of `users`) can change the cell.  For any
     other user, the cell with and without it gives every remaining user the
     same reported rate, in the same order, and the user itself rate 0; so
     the cell value is bit-identical and the user's marginal value is 0.
 
-    A member contends if it holds a channel that carries power: under CA
-    any channel, under CAPA a channel the water-fill admitted (its power
-    may still round to 0).  A non-member contends if on some channel its
-    report reaches the best member report (ties count: the lowest index
-    wins them) and, under CAPA, its inverse gain tau / r is below the
-    admission bound.  The bound is the first inverse gain the active-set
-    rule rejected, or max(lam, last admitted) when it admitted every usable
-    channel; an inverse gain at or above it sorts after the admitted prefix
-    and is rejected in turn, so the prefix, its running sum, lam and every
-    power stay bit-identical.  In an empty cell a user contends if it has
-    a positive report (CA) or a finite inverse gain (CAPA).
+    `held`, `best` and `bound` are those of the cell's solve on `reports`
+    (see `Allocation`); an empty cell needs none.  A member contends if it
+    holds a channel that carries power: under CA any channel, under CAPA a
+    channel the water-fill admitted (its power may still round to 0).  A
+    non-member contends if on some channel its report reaches the best
+    member report (ties count: the lowest index wins them) and, under CAPA,
+    its inverse gain tau / r is below the admission bound, so that the
+    admitted prefix, its running sum, lam and every power would change.  In
+    an empty cell a user contends if it has a positive report (CA) or a
+    finite inverse gain (CAPA).
     """
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    chans = net.channels_of_bs[w]
-    sub = reports[:, chans]
-    users = sorted(users)
+    sub = reports[:, net.channels_of_bs[w]]
+    users = list(users)
     if not users:
         if strategy == CA:
             return (sub > 0).any(axis=1)
         with np.errstate(divide="ignore"):
             return (net.tau / sub < math.inf).any(axis=1)
-    beta, best = _best_user_per_channel(reports, users, chans)
     if strategy == CA:
         flags = (sub >= best).any(axis=1)
-        held = beta
     else:
-        inv = _inverse_gains(net.tau, best)
-        inv_sorted, n_fin, active, lam = _active_set(inv, net.budget[w])
-        if n_fin == 0:
-            bound = math.inf
-        elif active < n_fin:
-            bound = inv_sorted[active]
-        else:
-            bound = max(lam, inv_sorted[active - 1])
         with np.errstate(divide="ignore"):
             flags = ((sub >= best) & (net.tau / sub < bound)).any(axis=1)
-        held = beta[np.argsort(inv, kind="stable")[:active]]
     flags[users] = False
     flags[held] = True
     return flags

@@ -34,7 +34,7 @@ def _reported_cell_sum(net: NetworkInstance, w: int, users: Iterable[int],
     if not users:
         return 0.0
     alloc = solve_cell(net, w, users, values, strategy)
-    return sum(reported_rates(net, alloc, values).values())
+    return sum(reported_rates(net, alloc).values())
 
 
 def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
@@ -46,7 +46,7 @@ def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
     alpha = net.weight[w]
     alloc = solve_cell(net, w, users, values, strategy)
     rate = realized_rates(net, w, alloc, users).get(i, 0.0)
-    with_i = sum(r for u, r in reported_rates(net, alloc, values).items() if u != i)
+    with_i = sum(r for u, r in reported_rates(net, alloc).items() if u != i)
     t = alpha * (without_i - with_i)
     return UserOutcome(rate=rate, tax=t, utility=alpha * rate - t)
 

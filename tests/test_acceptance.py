@@ -212,7 +212,7 @@ def test_criterion_07_submodularity_monotonicity():
         if not users:
             return 0.0
         alloc = solve_cell(net, w, sorted(users), g, strategy)
-        return net.weight[w] * sum(reported_rates(net, alloc, g).values())
+        return net.weight[w] * sum(reported_rates(net, alloc).values())
 
     for strategy in (CA, CAPA):
         for _ in range(500):
@@ -290,7 +290,7 @@ def test_criterion_10_capa_vs_grid_oracle():
         users = list(range(net.num_users))
         g = net.normalized_gain()
         alloc = solve_capa(net, 0, users, g)
-        mine = sum(reported_rates(net, alloc, g).values())
+        mine = sum(reported_rates(net, alloc).values())
         chans = net.channels_of_bs[0]
         best = 0.0
         for combo in itertools.product(users, repeat=len(chans)):

@@ -20,9 +20,9 @@ from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
-                                      _empty_allocation, _rates_from_alloc,
-                                      contenders, reported_rates, solve_cell,
-                                      water_fill)
+                                      _empty_allocation, _inverse_gains,
+                                      _rates_from_alloc, contenders,
+                                      reported_rates, solve_cell, water_fill)
 
 # -- reference kernel: the plain NumPy bodies the lean kernel replaced ------
 
@@ -72,10 +72,10 @@ def ref_solve_capa(net, w, users, reports):
         inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
     if not np.isfinite(inv).any():
         alloc = _empty_allocation(net, w)
-        alloc.beta = beta
+        alloc.beta, alloc.best = beta, best
         return alloc
     power, lam = ref_water_fill(inv, net.budget[w])
-    return Allocation(bs=w, channels=chans, beta=beta, power=power,
+    return Allocation(bs=w, channels=chans, beta=beta, power=power, best=best,
                       water_level=lam)
 
 
@@ -89,6 +89,61 @@ def ref_rates_from_alloc(net, alloc, norm_gains):
         rates[int(user)] = rates.get(int(user), 0.0) + df * math.log1p(
             g * alloc.power[j] / net.tau)
     return rates
+
+
+def ref_active_set(inv, budget):
+    inv_sorted = np.sort(inv, kind="stable").tolist()
+    n_fin = sum(1 for x in inv_sorted if x < math.inf)
+    if n_fin == 0:
+        return inv_sorted, 0, 0, math.nan
+    active = 1
+    csum = inv_sorted[0]
+    while active < n_fin:
+        lam = (budget + csum) / active
+        if lam > inv_sorted[active]:
+            csum += inv_sorted[active]
+            active += 1
+        else:
+            break
+    return inv_sorted, n_fin, active, (budget + csum) / active
+
+
+def ref_contenders(net, w, users, reports, strategy):
+    """The contender test that solved the cell's winners again."""
+    chans = net.channels_of_bs[w]
+    sub = reports[:, chans]
+    users = sorted(users)
+    if not users:
+        if strategy == CA:
+            return (sub > 0).any(axis=1)
+        with np.errstate(divide="ignore"):
+            return (net.tau / sub < math.inf).any(axis=1)
+    beta, best = ref_best_user_per_channel(reports, users, chans)
+    if strategy == CA:
+        flags = (sub >= best).any(axis=1)
+        held = beta
+    else:
+        inv = _inverse_gains(net.tau, best)
+        inv_sorted, n_fin, active, lam = ref_active_set(inv, float(net.budget[w]))
+        if n_fin == 0:
+            bound = math.inf
+        elif active < n_fin:
+            bound = inv_sorted[active]
+        else:
+            bound = max(lam, inv_sorted[active - 1])
+        with np.errstate(divide="ignore"):
+            flags = ((sub >= best) & (net.tau / sub < bound)).any(axis=1)
+        held = beta[np.argsort(inv, kind="stable")[:active]]
+    flags[users] = False
+    flags[held] = True
+    return flags
+
+
+def solve_contenders(net, w, members, reports, strategy):
+    """`contenders` fed from the cell's own solve."""
+    alloc = solve_cell(net, w, members, reports, strategy)
+    return contenders(net, w, members, reports, strategy,
+                      alloc.held, alloc.best, alloc.bound)
 
 
 # -- drawn inputs: few distinct values, so ties and zeros are common --------
@@ -151,11 +206,42 @@ def test_cell_solves_match_reference(cell):
     assert alloc.beta.tolist() == ref.beta.tolist()
     assert alloc.power.tolist() == ref.power.tolist()
     assert alloc.water_level == ref.water_level
+    assert alloc.best.tolist() == ref.best.tolist()
     for strategy in STRATEGIES:
         alloc = solve_cell(net, 0, users, reports, strategy)
-        rates = reported_rates(net, alloc, reports)
+        rates = reported_rates(net, alloc)
         assert list(rates.items()) == list(
             ref_rates_from_alloc(net, alloc, reports).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+def test_reported_rates_read_the_solve(cell):
+    """A solve keeps each channel's winning report, so `reported_rates`
+    reads it instead of gathering it again: same rates, same key order."""
+    net, users = cell
+    reports = net.normalized_gain()
+    chans = net.channels_of_bs[0]
+    for strategy in STRATEGIES:
+        alloc = solve_cell(net, 0, users, reports, strategy)
+        assert alloc.best.tolist() == reports[alloc.beta, chans].tolist()
+        assert list(reported_rates(net, alloc).items()) == list(
+            _rates_from_alloc(net, alloc, reports).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+def test_contenders_match_reference(cell):
+    """The contender test on the solve's winners, reports and water-fill
+    admission equals the one that re-derived them, in a filled and an
+    empty cell (zero reports give +inf inverse gains)."""
+    net, users = cell
+    reports = net.normalized_gain()
+    for strategy in STRATEGIES:
+        for members in (users, []):
+            got = solve_contenders(net, 0, members, reports, strategy)
+            ref = ref_contenders(net, 0, members, reports, strategy)
+            assert got.tolist() == ref.tolist()
 
 
 def test_rates_of_empty_and_partial_allocations():
@@ -166,9 +252,10 @@ def test_rates_of_empty_and_partial_allocations():
     empty = _empty_allocation(net, 0)
     assert _rates_from_alloc(net, empty, g) == ref_rates_from_alloc(net, empty, g) == {}
     partial = Allocation(bs=0, channels=np.arange(3), beta=np.array([-1, 0, 0]),
-                         power=np.ones(3))
+                         power=np.ones(3), best=np.array([0.0, 2.0, 3.0]))
     assert list(_rates_from_alloc(net, partial, g).items()) == list(
-        ref_rates_from_alloc(net, partial, g).items())
+        ref_rates_from_alloc(net, partial, g).items()) == list(
+        reported_rates(net, partial).items())
 
 
 # -- the zero-marginal rules ------------------------------------------------
@@ -233,10 +320,11 @@ def test_non_contenders_leave_rates_unchanged(strategy):
         for w in range(net.num_bss):
             members = frozenset(int(u) for u in np.flatnonzero(
                 rng.uniform(size=net.num_users) < 0.5))
-            flags = contenders(net, w, members, g, strategy)
+            flags = solve_contenders(net, w, members, g, strategy)
+            assert flags.tolist() == ref_contenders(net, w, members, g, strategy).tolist()
             for u in np.flatnonzero(~flags).tolist():
-                base = reported_rates(net, solve_cell(net, w, members, g, strategy), g)
-                rates = reported_rates(net, solve_cell(net, w, members ^ {u}, g, strategy), g)
+                base = reported_rates(net, solve_cell(net, w, members, g, strategy))
+                rates = reported_rates(net, solve_cell(net, w, members ^ {u}, g, strategy))
                 assert base.pop(u, 0.0) == rates.pop(u, 0.0) == 0.0
                 assert list(rates.items()) == list(base.items())
                 skipped += 1
@@ -264,7 +352,7 @@ def test_zero_rate_member_can_still_change_the_cell():
     ev = Evaluator(net, GameMode(strategy=CAPA))
     cell = frozenset({0, 1})
     assert ev.cell(0, cell).rates[1] == 0.0
-    assert contenders(net, 0, cell, ev.reports, CAPA).tolist() == [True, True]
+    assert solve_contenders(net, 0, cell, ev.reports, CAPA).tolist() == [True, True]
     marginal = Evaluator(net, GameMode(strategy=CAPA)).utility_in(1, 0, cell)
     assert marginal != 0.0
     assert ev.utility((0, 0), 1) == marginal
@@ -280,7 +368,7 @@ def test_zero_report_joiner_can_change_a_ca_cell():
                    [0.0, 3.4563512090281696, 0.0, 0.0],
                    [0.0, 0.0, 5.276002188845262, 0.0]], 4.0)
     ev = Evaluator(net, GameMode(strategy=CA))
-    assert contenders(net, 0, {1, 2, 3}, ev.reports, CA)[0]
+    assert solve_contenders(net, 0, {1, 2, 3}, ev.reports, CA)[0]
     marginal = Evaluator(net, GameMode(strategy=CA)).utility_in(
         0, 0, frozenset({0, 1, 2, 3}))
     assert marginal != 0.0

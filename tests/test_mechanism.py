@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +6,16 @@ import pytest
 
 from conftest import random_network
 from ofdma_assoc import fixtures, mechanism
-from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
+from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
+                                    is_ne)
 from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
-                                   apply_event, init_state, nearest_bs_profile,
-                                   run, step, update_interference_noise)
+                                   RunResult, apply_event, init_state,
+                                   nearest_bs_profile, run, step,
+                                   update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig, generate)
-from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of, solve_capa
+from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of, solve_capa, solve_cell
 
 
 def positioned_network():
@@ -54,7 +57,56 @@ class TestInit:
         assert s1.rng.integers(0, 100) == s2.rng.integers(0, 100)
 
 
+def reference_step(net, state, mode, ev):
+    """`step` with one scalar draw per better reply and per memory slot,
+    interleaved user by user."""
+    a = state.profile
+    next_a = list(a)
+    costs = state.costs.tolist()
+    for i in range(net.num_users):
+        br = better_reply_set(net, a, i, mode, ev, margin=costs[i])
+        w_star = br[state.rng.integers(0, len(br))] if br else a[i]
+        state.memories[i].appendleft(w_star)
+        mem = state.memories[i]
+        next_a[i] = mem[state.rng.integers(0, len(mem))]
+    state.profile = tuple(next_a)
+    state.iteration += 1
+    state.stable = state.stable + 1 if state.profile == a else 0
+
+
+def _same_state(s1, s2):
+    return (s1.profile == s2.profile and s1.iteration == s2.iteration
+            and s1.stable == s2.stable
+            and [list(m) for m in s1.memories] == [list(m) for m in s2.memories]
+            and s1.rng.bit_generator.state == s2.rng.bit_generator.state)
+
+
 class TestStep:
+    def test_one_draw_per_round_matches_per_user_draws(self, rng):
+        """Drawing a round's indices with one array-bound call gives the
+        same memories, profiles and generator state as scalar draws."""
+        for _ in range(40):
+            net = random_network(rng, n_users=int(rng.integers(1, 7)),
+                                 n_bss=int(rng.integers(1, 4)))
+            mode = GameMode(strategy=CA if rng.uniform() < 0.5 else CAPA)
+            m = int(rng.integers(1, 5))
+            costs = rng.choice([0.0, 0.05, 0.5], size=net.num_users)
+            seed = int(rng.integers(10 ** 6))
+            fast, ref = (init_state(net, m, costs, seed) for _ in range(2))
+            ev = Evaluator(net, mode)
+            for _ in range(30):
+                step(net, fast, mode, ev)
+                reference_step(net, ref, mode, ev)
+                assert _same_state(fast, ref)
+
+    def test_no_users_draws_nothing(self):
+        net = positioned_network()
+        state = init_state(net, 2, 0.0, seed=3)
+        net = apply_event(net, state, RemoveUsers([0, 1, 2]))
+        before = state.rng.bit_generator.state
+        step(net, state, GameMode())
+        assert state.profile == () and state.rng.bit_generator.state == before
+
     def test_absorbing_state(self):
         """BR sets empty and memories saturated with the current profile:
         the profile can never change again."""
@@ -275,6 +327,25 @@ class TestEvents:
                 gain=net.gain[:1], noise=net.noise[:1],
                 positions=net.user_pos[:1]))
 
+    def test_added_users_carry_their_costs(self):
+        """Arrivals take the costs of their own event, one for all or one
+        each, not a copy of user 0's."""
+        net = positioned_network()
+        state = init_state(net, 2, [0.5, 1.0, 2.0], seed=1)
+        net = apply_event(net, state, AddUsers(
+            gain=net.gain[:2], noise=net.noise[:2], positions=net.user_pos[:2],
+            costs=[3.0, 4.0]))
+        net = apply_event(net, state, AddUsers(
+            gain=net.gain[:2], noise=net.noise[:2], positions=net.user_pos[:2],
+            costs=7.0))
+        net = apply_event(net, state, AddUsers(
+            gain=net.gain[:1], noise=net.noise[:1], positions=net.user_pos[:1]))
+        assert state.costs.tolist() == [0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 7.0, 0.0]
+        with pytest.raises(ValueError):
+            apply_event(net, state, AddUsers(
+                gain=net.gain[:2], noise=net.noise[:2],
+                positions=net.user_pos[:2], costs=[1.0, 2.0, 3.0]))
+
     def test_add_no_users_keeps_profile(self):
         net = positioned_network()
         state = init_state(net, 2, 0.0, seed=1)
@@ -431,3 +502,86 @@ class TestInterference:
         res = run(net, 2, 0.0, 30, seed=5, interference=True)
         assert res.is_ne is None
         assert res.iterations <= 30
+
+
+def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
+    """Interference mode without fixed-point reuse: every round refreshes
+    the noise and builds a fresh Evaluator; rounds use `reference_step`."""
+    net = dataclasses.replace(net, noise=net.noise.copy())
+    state = init_state(net, memory_len, costs, seed)
+    ev = Evaluator(net, mode)
+    mechanism._record(state, ev)
+    while state.iteration < max_iter and state.stable < memory_len:
+        allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
+                  for w, users in enumerate(cells_of(state.profile, net.num_bss))
+                  if users}
+        update_interference_noise(net, state.profile, allocs)
+        ev = Evaluator(net, mode)
+        reference_step(net, state, mode, ev)
+        mechanism._record(state, ev)
+    return RunResult(profile=state.profile, trace=state.trace,
+                     converged=state.stable >= memory_len,
+                     iterations=state.iteration)
+
+
+class _Counts:
+    """Evaluators built and refresh solves made by `mechanism.run`."""
+
+    def __init__(self, monkeypatch):
+        self.evaluators = self.solves = self.refreshes = 0
+        counts = self
+
+        class CountingEvaluator(Evaluator):
+            def __init__(self, *args, **kwargs):
+                counts.evaluators += 1
+                super().__init__(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            counts.solves += 1
+            return solve_cell(*args, **kwargs)
+
+        def counting_refresh(*args, **kwargs):
+            counts.refreshes += 1
+            return update_interference_noise(*args, **kwargs)
+
+        monkeypatch.setattr(mechanism, "Evaluator", CountingEvaluator)
+        monkeypatch.setattr(mechanism, "solve_cell", counting_solve)
+        monkeypatch.setattr(mechanism, "update_interference_noise",
+                            counting_refresh)
+
+
+class TestInterferenceFixedPoints:
+    @pytest.mark.parametrize("strategy", [CA, CAPA])
+    def test_run_matches_reference_loop(self, strategy, monkeypatch):
+        """Same results and traces as a fresh Evaluator and a refresh every
+        round, on N=10/W=8/K=64 instances; the reuse path is taken."""
+        counts = _Counts(monkeypatch)
+        mode = GameMode(strategy=strategy)
+        built = rounds = 0
+        for j in range(20):
+            cfg = ScenarioConfig(num_users=10, num_bss=8, num_channels=64,
+                                 distribution_factor=(0.2, 0.5, 0.8)[j % 3],
+                                 seed=1000 + j)
+            net = generate(cfg)
+            counts.evaluators = 0
+            res = run(net, 4, 0.0, 30, seed=j, mode=mode, interference=True)
+            built += counts.evaluators
+            rounds += res.iterations
+            assert res == reference_interference_run(net, 4, 0.0, 30, j, mode)
+        assert built < rounds + 20
+
+    def test_fixed_point_reuses_evaluator_and_skips_refresh(self, monkeypatch):
+        """Zero cross gains: the first refresh leaves the noise equal, so
+        the run keeps its one Evaluator and, once the profile stops
+        changing, makes no more refresh solves."""
+        gain = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0],
+                         [0.5, 1.5, 0.0, 0.0]])
+        net = NetworkInstance(gain=gain, noise=np.ones((3, 4)),
+                              channels_of_bs=[np.arange(2), np.arange(2, 4)],
+                              budget=np.ones(2), weight=np.ones(2),
+                              bandwidth=np.ones(2), tau=1.0)
+        counts = _Counts(monkeypatch)
+        res = run(net, 3, 0.0, 30, seed=1, interference=True)
+        assert res.converged and res.iterations == 3
+        assert (counts.evaluators, counts.refreshes, counts.solves) == (1, 1, 2)
+        assert res == reference_interference_run(net, 3, 0.0, 30, 1, GameMode())

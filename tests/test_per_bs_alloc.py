@@ -20,7 +20,7 @@ def cell_value(net, w, users, reports, strategy):
     if not users:
         return 0.0
     alloc = solve_cell(net, w, sorted(users), reports, strategy)
-    return net.weight[w] * sum(reported_rates(net, alloc, reports).values())
+    return net.weight[w] * sum(reported_rates(net, alloc).values())
 
 
 def oracle_power_search(inv, budget, levels=4):
@@ -130,12 +130,13 @@ class TestSolveCA:
             users = [0, 1, 2]
             reports = net.normalized_gain()
             alloc = solve_ca(net, 0, users, reports)
-            mine = sum(reported_rates(net, alloc, reports).values())
+            mine = sum(reported_rates(net, alloc).values())
             power = np.full(3, net.budget[0] / 3)
             for combo in itertools.product(users, repeat=3):
-                other = Allocation(bs=0, channels=alloc.channels,
-                                   beta=np.array(combo), power=power)
-                assert mine >= sum(reported_rates(net, other, reports).values()) - 1e-12
+                beta = np.array(combo)
+                other = Allocation(bs=0, channels=alloc.channels, beta=beta,
+                                   power=power, best=reports[beta, alloc.channels])
+                assert mine >= sum(reported_rates(net, other).values()) - 1e-12
 
 
 class TestSolveCAPA:
@@ -172,7 +173,7 @@ class TestSolveCAPA:
             users = list(range(net.num_users))
             reports = net.normalized_gain()
             alloc = solve_capa(net, 0, users, reports)
-            mine = sum(reported_rates(net, alloc, reports).values())
+            mine = sum(reported_rates(net, alloc).values())
             chans = net.channels_of_bs[0]
             best = 0.0
             for combo in itertools.product(users, repeat=len(chans)):
@@ -199,7 +200,7 @@ class TestSolveCAPA:
         g[1, 2:] = 0.0
         alloc = solve_capa(net, 1, [1], g)    # user 2 reports zeros at BS 2
         assert (alloc.power == 0).all()
-        assert sum(reported_rates(net, alloc, g).values()) == 0.0
+        assert sum(reported_rates(net, alloc).values()) == 0.0
 
 
 class TestRates:
@@ -218,7 +219,7 @@ class TestRates:
         reports = net.normalized_gain()
         for w in range(net.num_bss):
             alloc = solve_capa(net, w, range(net.num_users), reports)
-            rep = reported_rates(net, alloc, reports)
+            rep = reported_rates(net, alloc)
             real = realized_rates(net, w, alloc)
             for u in rep:
                 assert rep[u] == pytest.approx(real[u], abs=1e-12)

@@ -69,7 +69,7 @@ class TestUtility:
                         return 0.0
                     alloc = solve_cell(net, w, users, g, strategy)
                     return net.weight[w] * sum(
-                        reported_rates(net, alloc, g).values())
+                        reported_rates(net, alloc).values())
 
                 users = cells_of(a, net.num_bss)[w]
                 expected = value(users) - value(users - {i})
