@@ -151,6 +151,11 @@ class Evaluator:
         return res.row
 
 
+def mask_members(mask: int) -> FrozenSet[int]:
+    """The users whose bits are set in `mask`."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:
     return evaluator if evaluator is not None else Evaluator(net, mode)
 
@@ -209,21 +214,81 @@ class EnumerationResult:
 def enumerate_nes(net: NetworkInstance, mode: GameMode,
                   evaluator: Optional[Evaluator] = None) -> EnumerationResult:
     """Exhaustive scan over all W^N profiles: all pure NEs plus the global
-    optimum (lexicographic tie-break)."""
+    optimum (lexicographic tie-break).
+
+    Every profile's system value comes from one table of cell values (see
+    `_profile_values`).  `is_ne` decides each NE; in the taxed game it sees
+    only the profiles that pass the potential screen of `_dominated`.  The
+    screen needs utilities that are differences of cell values, which a NaN
+    report breaks (it is no contender, yet it changes a cell), so NaN
+    reports turn it off."""
     n, w_cnt = net.num_users, net.num_bss
-    if w_cnt ** n > ENUM_CAP:
+    size = w_cnt ** n
+    if size > ENUM_CAP:
         raise InvalidArgumentError("profile space exceeds enumeration cap")
     ev = _eval(net, mode, evaluator)
+    profiles = itertools.product(range(w_cnt), repeat=n)
+    keep = itertools.repeat(True)
+    if size > 1:
+        values, scale = _profile_values(ev, n, w_cnt)
+        if mode.taxed and not np.isnan(ev.reports).any():
+            keep = (~_dominated(values, scale, n, w_cnt)).tolist()
+    else:                         # no user or at most one BS: nothing to tabulate
+        profiles = list(profiles)
+        values = [ev.system_value(a) for a in profiles]
     nes = []
     best_profile, best_value = None, -math.inf
-    for a in itertools.product(range(w_cnt), repeat=n):
-        value = ev.system_value(a)
+    for a, value, survivor in zip(profiles, values, keep):
         if value > best_value + STRICT_TOL:
             best_profile, best_value = a, value
-        if is_ne(net, a, mode, ev):
+        if survivor and is_ne(net, a, mode, ev):
             nes.append((a, value))
     return EnumerationResult(nes=nes, optimum=best_profile,
                              optimum_value=best_value)
+
+
+def _profile_values(ev: Evaluator, n: int,
+                    w_cnt: int) -> Tuple[np.ndarray, float]:
+    """System value of every profile, in `itertools.product` order, summed
+    over the BSs left to right from 0 as `Evaluator.system_value` sums,
+    and the sum over BSs of the largest |cell value|, which bounds every
+    partial sum.  With two or more BSs every user set is cell w of some
+    profile, so each of the W·2^N cells is solved once through `ev.cell`;
+    a profile's cell w is found by its member bitmask."""
+    shape = (w_cnt,) * n
+    sets = [mask_members(m) for m in range(1 << n)]
+    total = np.zeros(shape)
+    scale = 0.0
+    for w in range(w_cnt):
+        table = np.array([ev.cell(w, s).value for s in sets])
+        scale += np.abs(table).max()
+        here = (np.arange(w_cnt) == w).astype(np.int64)
+        mask = np.zeros(shape, dtype=np.int64)
+        for i in range(n):        # bit i set where user i is at w
+            mask += (here << i).reshape((1,) * i + (w_cnt,) + (1,) * (n - 1 - i))
+        total += table[mask]
+    return total.ravel(), scale
+
+
+def _dominated(values: np.ndarray, scale: float, n: int,
+               w_cnt: int) -> np.ndarray:
+    """Per profile, whether some unilateral move reaches a system value
+    above its own by more than 1e-9·(1 + scale), `scale` bounding every
+    |cell value| sum (see `_profile_values`).
+
+    The taxed game is an exact potential game with the system value as its
+    potential (Monderer & Shapley 1996): a user's taxed utility is its
+    cell's marginal value, so a move changes the mover's utility by exactly
+    the change in system value, over the same cell values.  A NE admits no
+    move gaining more than STRICT_TOL, and the slack is far above that plus
+    the rounding of a W-term sum, so no NE is dominated.  A NaN comparison
+    dominates nothing."""
+    phi = values.reshape((w_cnt,) * n)
+    bar = phi + 1e-9 * (1.0 + scale)
+    out = np.zeros(phi.shape, dtype=bool)
+    for i in range(n):            # the moves of user i run along axis i
+        out |= phi.max(axis=i, keepdims=True) > bar
+    return out.ravel()
 
 
 def efficiency_ratio(net: NetworkInstance, ne_profile: Sequence[int],

@@ -78,7 +78,11 @@ def nearest_bs_profile(net: NetworkInstance) -> Tuple[int, ...]:
 
 def _costs(costs: Union[float, Sequence[float]], n: int) -> np.ndarray:
     """Switching costs as an (n,) array: one for all users, or one each."""
-    return np.broadcast_to(np.asarray(costs, dtype=float), (n,)).copy()
+    try:
+        return np.broadcast_to(np.asarray(costs, dtype=float), (n,)).copy()
+    except ValueError:
+        raise InvalidArgumentError(
+            f"need one switching cost or {n}, got {costs!r}") from None
 
 
 def init_state(net: NetworkInstance, memory_len: int,
@@ -161,6 +165,7 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
                                    "without interference")
     if interference:
         net = dataclasses.replace(net, noise=net.noise.copy())
+        maps = channel_maps(net)
     state = init_state(net, memory_len, costs, seed)
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     _record(state, ev)
@@ -171,7 +176,7 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
                       for w, users in enumerate(ev.cells_of(state.profile))
                       if users}
             noise = net.noise
-            update_interference_noise(net, state.profile, allocs)
+            update_interference_noise(net, state.profile, allocs, maps)
             fixed = np.array_equal(net.noise, noise)
             if not fixed:
                 ev = Evaluator(net, mode)
@@ -222,6 +227,7 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         gain = np.atleast_2d(np.asarray(event.gain, float))
         noise = np.atleast_2d(np.asarray(event.noise, float))
         n_new = gain.shape[0]
+        costs = _costs(event.costs, n_new)    # checked before any state changes
         new_net = dataclasses.replace(
             net, gain=np.vstack([net.gain, gain]),
             noise=np.vstack([net.noise, noise]),
@@ -231,7 +237,7 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         state.profile += nearest_bs_profile(new_net)[net.num_users:]
         for _ in range(n_new):
             state.memories.append(deque(maxlen=state.memory_len))
-        state.costs = np.concatenate([state.costs, _costs(event.costs, n_new)])
+        state.costs = np.concatenate([state.costs, costs])
         label = f"add_users:{n_new}"
     elif isinstance(event, RegenerateChannels):
         if net.gain_mean is None:
@@ -252,26 +258,37 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     return new_net
 
 
+def channel_maps(net: NetworkInstance) -> Tuple[np.ndarray, np.ndarray]:
+    """Per global channel, its position in its BS's block and its BS."""
+    pos_of = np.empty(net.num_channels, dtype=int)
+    for chans in net.channels_of_bs:
+        pos_of[chans] = np.arange(len(chans))
+    return pos_of, net.bs_of_channel()
+
+
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
-                              allocations: Dict[int, Allocation]) -> None:
+                              allocations: Dict[int, Allocation],
+                              maps: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                              ) -> None:
     """Refresh noise entries in place: thermal floor plus, on each of the
     serving BS's channels, the co-subcarrier transmit powers of every other
     BS weighted by the cross gains.  Per-BS channel blocks align by
     position (same conceptual subcarrier); a BS whose block is too short to
     have a channel at some position adds no interference there.  The
-    per-position sums run over the BSs in ascending order."""
+    per-position sums run over the BSs in ascending order.  `maps` is
+    `channel_maps(net)`, which a caller refreshing the same instance many
+    times computes once."""
+    pos_of, owner = channel_maps(net) if maps is None else maps
     a = np.asarray(a)
     n_sub = max(len(chans) for chans in net.channels_of_bs)
     # interf[i, pos]: what user i receives at block position pos from
     # every BS but its own
     interf = np.zeros((net.num_users, n_sub))
-    pos_of = np.empty(net.num_channels, dtype=int)
     for w, chans in enumerate(net.channels_of_bs):
-        pos_of[chans] = np.arange(len(chans))
         alloc = allocations.get(w)
         if alloc is not None:
             cross = net.gain[:, chans] * alloc.power
             cross[a == w] = 0.0       # a user's own BS does not interfere
             interf[:, :len(chans)] += cross
-    serving = net.bs_of_channel() == a[:, None]
+    serving = owner == a[:, None]
     net.noise = net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -138,20 +138,28 @@ class NetworkInstance:
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
         d = json.loads(text)
+        chans = [np.asarray(c, int) for c in d["channels_of_bs"]]
+        k, w = sum(len(c) for c in chans), len(chans)
+
         def arr(x):
             return None if x is None else np.asarray(x, dtype=float)
+
+        def table(x, width):      # a table of no rows is written as []
+            a = arr(x)
+            return a.reshape(0, width) if a is not None and a.shape == (0,) else a
+
         return cls(
-            gain=arr(d["gain"]),
-            noise=arr(d["noise"]),
-            channels_of_bs=[np.asarray(c, int) for c in d["channels_of_bs"]],
+            gain=table(d["gain"], k),
+            noise=table(d["noise"], k),
+            channels_of_bs=chans,
             budget=arr(d["budget"]),
             weight=arr(d["weight"]),
             bandwidth=arr(d["bandwidth"]),
             tau=float(d["tau"]),
-            user_pos=arr(d.get("user_pos")),
-            bs_pos=arr(d.get("bs_pos")),
-            thermal_noise=arr(d.get("thermal_noise")),
-            gain_mean=arr(d.get("gain_mean")),
+            user_pos=table(d.get("user_pos"), 2),
+            bs_pos=table(d.get("bs_pos"), 2),
+            thermal_noise=table(d.get("thermal_noise"), k),
+            gain_mean=table(d.get("gain_mean"), w),
         )
 
 

@@ -9,7 +9,7 @@ from ofdma_assoc.assoc_game import Evaluator, GameMode, enumerate_nes, is_ne
 from ofdma_assoc.baselines import (SearchSpaceTooLargeError, candidate_bss,
                                    exhaustive_opt, greedy0, multi_connect_bound,
                                    nearest_bs)
-from ofdma_assoc.net_model import SatInstance, reduce_3sat
+from ofdma_assoc.net_model import NetworkInstance, SatInstance, reduce_3sat
 from ofdma_assoc.per_bs_alloc import CA, CAPA
 
 
@@ -74,6 +74,23 @@ class TestExhaustive:
         net.gain[:, 2:] = 0.0          # BS 2 useless for everyone
         cands = candidate_bss(net)
         assert all(c == [0] for c in cands)
+
+
+    def test_candidates_follow_the_searched_reports(self):
+        """User 0 has no true gain at BS 1 but reports 5 there: the search
+        over those reports must keep BS 1 and agree with enumeration."""
+        net = NetworkInstance(gain=[[1.0, 0.0], [1.0, 0.0]],
+                              noise=np.ones((2, 2)),
+                              channels_of_bs=[[0], [1]], budget=[1.0, 1.0],
+                              weight=[1.0, 1.0], bandwidth=[1.0, 1.0], tau=1.0)
+        reports = np.array([[1.0, 5.0], [1.0, 0.0]])
+        ev = Evaluator(net, GameMode(strategy=CAPA), reports)
+        assert candidate_bss(net, reports) == [[0, 1], [0]]
+        res = exhaustive_opt(net, CAPA, ev)
+        ref = enumerate_nes(net, GameMode(strategy=CAPA), ev)
+        assert res.profile == ref.optimum == (1, 0)
+        assert res.throughput == ref.optimum_value == pytest.approx(
+            math.log(6.0) + math.log(2.0))
 
 
 class TestGreedy0:

@@ -7,6 +7,7 @@ compares utilities with a tolerance below one ulp, so a last-bit change
 could change a run.
 """
 
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ofdma_assoc import assoc_game
+from ofdma_assoc import assoc_game, baselines
 from ofdma_assoc.assoc_game import Evaluator, GameMode
-from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
+from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
+                                   ScenarioConfig, generate)
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
@@ -432,3 +434,174 @@ def test_better_replies_match_per_query_reference(strategy, taxed):
                 for margin in (0.0, float(rng.uniform(0.0, 2.0)), math.inf):
                     got = assoc_game.better_reply_set(net, a, i, mode, ev, margin)
                     assert got == ref_better_reply_set(net, a, i, mode, ref, margin)
+
+
+# -- the oracles: pruned search and screened enumeration --------------------
+
+
+def ref_exhaustive_opt(net, strategy, ev):
+    """The search body that looked up both cells of every child and ran
+    each child's entry check on entry."""
+    cands = baselines.candidate_bss(net)
+    n = net.num_users
+    singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
+                 for i in range(n)]
+    suffix_bound = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
+    best_value, best_profile, evals = -math.inf, None, 0
+    profile = [0] * n
+    cells = [frozenset() for _ in range(net.num_bss)]
+
+    def dfs(i, value):
+        nonlocal best_value, best_profile, evals
+        if value + suffix_bound[i] <= best_value + 1e-15:
+            return
+        if i == n:
+            evals += 1
+            if value > best_value + 1e-15:
+                best_value, best_profile = value, tuple(profile)
+            return
+        for w in cands[i]:
+            old = cells[w]
+            new = old | {i}
+            delta = ev.cell(w, new).value - ev.cell(w, old).value
+            cells[w] = new
+            profile[i] = w
+            dfs(i + 1, value + delta)
+            cells[w] = old
+
+    dfs(0, 0.0)
+    return baselines.BaselineResult(profile=best_profile, throughput=best_value,
+                                    evaluations=evals)
+
+
+def ref_enumerate_nes(net, mode, ev):
+    """The scan that valued and tested every profile through the cache."""
+    nes = []
+    best_profile, best_value = None, -math.inf
+    for a in itertools.product(range(net.num_bss), repeat=net.num_users):
+        value = ev.system_value(a)
+        if value > best_value + assoc_game.STRICT_TOL:
+            best_profile, best_value = a, value
+        if assoc_game.is_ne(net, a, mode, ev):
+            nes.append((a, value))
+    return assoc_game.EnumerationResult(nes=nes, optimum=best_profile,
+                                        optimum_value=best_value)
+
+
+def _generated(n, w, k, count, seed):
+    return [generate(ScenarioConfig(num_users=n, num_bss=w, num_channels=k,
+                                    distribution_factor=(0.2, 0.5, 0.8)[j % 3],
+                                    seed=seed + j))
+            for j in range(count)]
+
+
+def _no_users():
+    return NetworkInstance(gain=np.zeros((0, 3)), noise=np.ones((0, 3)),
+                           channels_of_bs=[np.arange(2), np.array([2])],
+                           budget=[1.0, 2.0], weight=[1.0, 1.0],
+                           bandwidth=[1.0, 1.0], tau=1.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_exhaustive_matches_reference(strategy):
+    """Same profile, throughput (type included) and leaf count as the
+    search that solved every child: ties, zero rows, weight-0 BSs, the
+    bench's 8-user instances and no users at all."""
+    rng = np.random.default_rng(31)
+    nets = ([_network(rng) for _ in range(200)]
+            + _generated(8, 4, 64, 6, 500) + [_no_users()])
+    mode = GameMode(strategy=strategy)
+    for net in nets:
+        got = baselines.exhaustive_opt(net, strategy, Evaluator(net, mode))
+        ref = ref_exhaustive_opt(net, strategy, Evaluator(net, mode))
+        assert repr(got) == repr(ref)
+        shared = Evaluator(net, mode)
+        assoc_game.system_throughput(net, baselines.nearest_bs(net).profile,
+                                     strategy, shared)
+        assert repr(baselines.exhaustive_opt(net, strategy, shared)) == repr(ref)
+
+
+@pytest.mark.parametrize("taxed", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_enumeration_matches_reference(strategy, taxed):
+    """Same NE list, values (types included) and optimum as the scan that
+    called `is_ne` on every profile, also with a NaN report and with a
+    shared, already warm Evaluator."""
+    rng = np.random.default_rng(32)
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    nets = ([_network(rng) for _ in range(120)]
+            + _generated(6, 3, 24, 4, 700) + [_no_users()])
+    for j, net in enumerate(nets):
+        reports = None
+        if j % 7 == 0 and net.num_users:
+            reports = net.normalized_gain().copy()
+            reports.flat[int(rng.integers(0, reports.size))] = math.nan
+        ev = Evaluator(net, mode, reports)
+        with np.errstate(invalid="ignore"):
+            got = assoc_game.enumerate_nes(net, mode, ev)
+            ref = ref_enumerate_nes(net, mode, Evaluator(net, mode, reports))
+            assert repr(got) == repr(ref)
+            assert repr(assoc_game.enumerate_nes(net, mode, ev)) == repr(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells(), st.data())
+def test_cell_value_is_subadditive(cell, data):
+    """V(S | T) <= V(S) + V(T), the premise of the search bound."""
+    net, users = cell
+    other = data.draw(st.lists(st.integers(0, net.num_users - 1), min_size=1,
+                               unique=True))
+    for strategy in STRATEGIES:
+        ev = Evaluator(net, GameMode(strategy=strategy))
+        s, t = frozenset(users), frozenset(other)
+        union = ev.cell(0, s | t).value
+        assert union <= (ev.cell(0, s).value + ev.cell(0, t).value) * (1 + 1e-9)
+
+
+class _CountingSolves:
+    def __init__(self, monkeypatch):
+        self.solves = 0
+
+        def counting(*args, **kwargs):
+            self.solves += 1
+            return solve_cell(*args, **kwargs)
+
+        monkeypatch.setattr(assoc_game, "solve_cell", counting)
+
+
+def test_exhaustive_solves_fewer_cells(monkeypatch):
+    net = _generated(8, 4, 64, 1, 41)[0]
+    counts = _CountingSolves(monkeypatch)
+    ref = ref_exhaustive_opt(net, CAPA, Evaluator(net, GameMode()))
+    before, counts.solves = counts.solves, 0
+    got = baselines.exhaustive_opt(net, CAPA, Evaluator(net, GameMode()))
+    assert repr(got) == repr(ref)
+    assert counts.solves < before
+
+
+def test_enumeration_screens_is_ne_calls(monkeypatch):
+    """The taxed scan hands `is_ne` only the profiles without a clearly
+    better unilateral neighbour; the untaxed scan hands it every one."""
+    net = _generated(6, 3, 24, 1, 43)[0]
+    calls = []
+    is_ne = assoc_game.is_ne
+    monkeypatch.setattr(assoc_game, "is_ne",
+                        lambda *args: calls.append(args[1]) or is_ne(*args))
+    res = assoc_game.enumerate_nes(net, GameMode())
+    assert 0 < len(calls) < 3 ** 6 // 10
+    assert {a for a, _ in res.nes} <= set(calls)
+    calls.clear()
+    assoc_game.enumerate_nes(net, GameMode(taxed=False))
+    assert len(calls) == 3 ** 6
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+def test_exhaustive_rejects_reports_the_bound_cannot_take(bad):
+    net = _generated(3, 2, 4, 1, 45)[0]
+    reports = net.normalized_gain().copy()
+    reports[1, 2] = bad
+    ev = Evaluator(net, GameMode(), reports)
+    with pytest.raises(InvalidArgumentError):
+        baselines.exhaustive_opt(net, CAPA, ev)

@@ -10,7 +10,8 @@ from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
                                     is_ne)
 from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
-                                   RunResult, apply_event, init_state,
+                                   RunResult, apply_event, channel_maps,
+                                   init_state,
                                    nearest_bs_profile, run, step,
                                    update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
@@ -346,6 +347,18 @@ class TestEvents:
                 gain=net.gain[:2], noise=net.noise[:2],
                 positions=net.user_pos[:2], costs=[1.0, 2.0, 3.0]))
 
+    def test_misfit_costs_leave_the_state_alone(self):
+        """Two arrivals with three costs are refused before the profile,
+        the memories or the costs grow."""
+        net = positioned_network()
+        state = init_state(net, 2, 0.5, seed=1)
+        before = (state.profile, len(state.memories), state.costs.tolist())
+        with pytest.raises(InvalidArgumentError):
+            apply_event(net, state, AddUsers(
+                gain=net.gain[:2], noise=net.noise[:2],
+                positions=net.user_pos[:2], costs=[1.0, 2.0, 3.0]))
+        assert (state.profile, len(state.memories), state.costs.tolist()) == before
+
     def test_add_no_users_keeps_profile(self):
         net = positioned_network()
         state = init_state(net, 2, 0.0, seed=1)
@@ -422,6 +435,8 @@ class TestInterference:
                       if users}
             expected = reference_interference_noise(net, a, allocs)
             update_interference_noise(net, a, allocs)
+            assert np.array_equal(net.noise, expected)
+            update_interference_noise(net, a, allocs, channel_maps(net))
             assert np.array_equal(net.noise, expected)
 
     def test_single_bs_noise_unchanged(self, rng):

@@ -1,8 +1,10 @@
 import hashlib
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import random_network
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
@@ -294,3 +296,50 @@ class TestReduction:
         lit_user = next(i for i in range(net.num_users)
                         if net.gain[i, net.channels_of_bs[clause_bs][0]] == 1.0)
         assert ev.cell(clause_bs, frozenset([lit_user])).value == pytest.approx(1.0)
+
+
+# -- JSON round trip over drawn instances -----------------------------------
+
+NONNEG = st.floats(0.0, 1e6)
+POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def instances(draw):
+    """Instances with 0-4 users and 1-3 BSs of 0-3 channels each; every
+    optional per-user or per-BS table is either present or None."""
+    n = draw(st.integers(0, 4))
+    blocks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    k, w = sum(blocks), len(blocks)
+    edges = np.cumsum([0] + blocks)
+
+    def table(rows, cols, elements):
+        return np.array(draw(st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                                      min_size=rows, max_size=rows)),
+                        dtype=float).reshape(rows, cols)
+
+    def optional(rows, cols, elements):
+        return table(rows, cols, elements) if draw(st.booleans()) else None
+
+    return NetworkInstance(
+        gain=table(n, k, NONNEG), noise=table(n, k, POSITIVE),
+        channels_of_bs=[np.arange(a, b) for a, b in zip(edges, edges[1:])],
+        budget=table(1, w, POSITIVE)[0], weight=table(1, w, NONNEG)[0],
+        bandwidth=table(1, w, POSITIVE)[0], tau=draw(st.floats(1.0, 10.0)),
+        user_pos=optional(n, 2, NONNEG), bs_pos=optional(w, 2, NONNEG),
+        thermal_noise=optional(n, k, POSITIVE), gain_mean=optional(n, w, NONNEG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_json_round_trip_keeps_every_field(net):
+    back = NetworkInstance.from_json(net.to_json())
+    for name in ("gain", "noise", "budget", "weight", "bandwidth", "user_pos",
+                 "bs_pos", "thermal_noise", "gain_mean"):
+        a, b = getattr(net, name), getattr(back, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert b.shape == a.shape and np.array_equal(a, b), name
+    assert [c.tolist() for c in back.channels_of_bs] == [
+        c.tolist() for c in net.channels_of_bs]
+    assert back.tau == net.tau
