@@ -42,7 +42,7 @@ class CellResult:
 
 class Evaluator:
     """Memoized per-cell solves and utility rows for a fixed instance /
-    reports / mode, plus the member sets and rows of the last profile."""
+    reports / mode.  Every query names its cell: a BS and its members."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -50,9 +50,6 @@ class Evaluator:
         self.mode = mode
         self.reports = net.normalized_gain() if reports is None else np.asarray(reports, float)
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
-        self._cells_key: Optional[Tuple[int, ...]] = None
-        self._cells: Tuple[FrozenSet[int], ...] = ()
-        self._rows: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)
@@ -71,26 +68,8 @@ class Evaluator:
         self._cache[key] = res
         return res
 
-    def cells_of(self, a: Sequence[int]) -> Tuple[FrozenSet[int], ...]:
-        """Per-BS member sets of profile `a`, reused while the profile
-        queried stays the same; a new profile also drops its rows."""
-        key = tuple(a)
-        if key != self._cells_key:
-            self._cells_key, self._cells = key, cells_of(a, self.net.num_bss)
-            self._rows = None
-        return self._cells
-
     def system_value(self, a: Sequence[int]) -> float:
-        return sum(self.cell(w, s).value for w, s in enumerate(self.cells_of(a)))
-
-    def utility_in(self, i: int, w: int, members: FrozenSet[int]) -> float:
-        """Utility of user i if cell w's user set were `members` (i included),
-        from the cell solves with and without i."""
-        with_i = self.cell(w, members)
-        if not self.mode.taxed:
-            return with_i.rates.get(i, 0.0)
-        without_i = self.cell(w, members - {i})
-        return with_i.value - without_i.value
+        return sum(self.cell(w, s).value for w, s in enumerate(cells_of(self.net, a)))
 
     def _contenders(self, res: CellResult, w: int,
                     members: FrozenSet[int]) -> Tuple[bool, ...]:
@@ -103,11 +82,10 @@ class Evaluator:
             res.solve = None
         return res.contenders
 
-    def utility(self, a: Sequence[int], i: int) -> float:
-        """`utility_in` at i's own cell, without the solve of the cell
-        less i when i's departure cannot change it."""
-        w = a[i]
-        members = self.cells_of(a)[w]
+    def utility(self, w: int, members: FrozenSet[int], i: int) -> float:
+        """Utility of member i of cell (w, members): its reported rate, or
+        taxed, the cell value less the value of the cell without i, whose
+        solve is skipped when i's departure cannot change the cell."""
         here = self.cell(w, members)
         if not self.mode.taxed:
             return here.rates.get(i, 0.0)
@@ -115,11 +93,10 @@ class Evaluator:
             return 0.0
         return here.value - self.cell(w, members - {i}).value
 
-    def move_utility(self, a: Sequence[int], i: int, w: int) -> float:
-        """Utility of user i after a unilateral move to BS w: `utility_in`
-        at the joined cell, without its solve when i's arrival cannot
-        change the cell."""
-        members = self.cells_of(a)[w]
+    def move_utility(self, w: int, members: FrozenSet[int], i: int) -> float:
+        """Utility of user i, not a member, after it joins cell (w, members):
+        its rate in the joined cell, or taxed, the value it adds; 0 without
+        a solve when i's arrival cannot change the cell."""
         there = self.cell(w, members)
         if not self._contenders(there, w, members)[i]:
             return 0.0
@@ -130,24 +107,20 @@ class Evaluator:
 
     def utilities(self, a: Sequence[int]) -> Tuple[Tuple[float, ...], ...]:
         """Per BS w, every user's utility at w's cell under profile `a`:
-        `utility` for its members, `move_utility` for the others.  A row
-        depends only on its cell, so it is kept with the cached cell."""
-        cells = self.cells_of(a)
-        if self._rows is None:
-            key = self._cells_key
-            self._rows = tuple(self._row(key, w, s) for w, s in enumerate(cells))
-        return self._rows
+        `utility` for its members, `move_utility` for the others."""
+        return tuple(self._row(w, s) for w, s in enumerate(cells_of(self.net, a)))
 
-    def _row(self, a: Tuple[int, ...], w: int, members: FrozenSet[int]):
+    def _row(self, w: int, members: FrozenSet[int]) -> Tuple[float, ...]:
+        """The utility row of cell (w, members), kept with the cached cell."""
         res = self.cell(w, members)
         if res.row is None:
             # a taxed non-contender's utility is 0 (see `utility`)
             con, taxed = self._contenders(res, w, members), self.mode.taxed
             res.row = tuple(
                 0.0 if taxed and not con[i]
-                else self.utility(a, i) if a[i] == w
-                else self.move_utility(a, i, w)
-                for i in range(len(a)))
+                else self.utility(w, members, i) if i in members
+                else self.move_utility(w, members, i)
+                for i in range(self.net.num_users))
         return res.row
 
 
@@ -160,24 +133,26 @@ def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:
     return evaluator if evaluator is not None else Evaluator(net, mode)
 
 
-def better_reply_set(net: NetworkInstance, a: Sequence[int], i: int,
-                     mode: GameMode, evaluator: Optional[Evaluator] = None,
-                     margin: float = 0.0) -> List[int]:
-    """BSs offering user i strictly higher utility than its current one.
-    `margin` adds a switching cost.  Reads all N·W `Evaluator.utilities`
-    of `a`: share an `evaluator` across users, or each call builds them."""
+def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
+                     evaluator: Optional[Evaluator] = None,
+                     margins: Optional[Sequence[float]] = None) -> List[List[int]]:
+    """Per user, the BSs offering it strictly higher utility than its
+    current one, from one read of the profile's utility rows.  `margins[i]`
+    adds user i's switching cost."""
     rows = _eval(net, mode, evaluator).utilities(a)
-    here = a[i]
-    bar = rows[here][i] + margin + STRICT_TOL
-    return [w for w, row in enumerate(rows) if w != here and row[i] > bar]
+    if margins is None:
+        margins = [0.0] * len(a)
+    out = []
+    for here, col, margin in zip(a, zip(*rows), margins):   # col[w]: at BS w
+        bar = col[here] + margin + STRICT_TOL
+        out.append([w for w, u in enumerate(col) if u > bar and w != here])
+    return out
 
 
 def is_ne(net: NetworkInstance, a: Sequence[int], mode: GameMode,
           evaluator: Optional[Evaluator] = None) -> bool:
-    """No user has a better reply; builds all N·W utilities first."""
-    ev = _eval(net, mode, evaluator)
-    return all(not better_reply_set(net, a, i, mode, ev)
-               for i in range(net.num_users))
+    """No user has a better reply."""
+    return not any(better_reply_set(net, a, mode, evaluator))
 
 
 def system_throughput(net: NetworkInstance, a: Sequence[int],
@@ -197,9 +172,10 @@ def deviation_identity_check(net: NetworkInstance, a: Sequence[int], i: int,
     if w_new == a[i]:
         raise InvalidArgumentError("move target equals current BS")
     ev = _eval(net, mode, evaluator)
+    cells = cells_of(net, a)
     moved = list(a)
     moved[i] = w_new
-    du = ev.move_utility(a, i, w_new) - ev.utility(a, i)
+    du = ev.move_utility(w_new, cells[w_new], i) - ev.utility(a[i], cells[a[i]], i)
     dr = ev.system_value(moved) - ev.system_value(a)
     return abs(du - dr)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assoc_game import Evaluator, GameMode, better_reply_set, is_ne
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import Allocation, solve_cell
+from .per_bs_alloc import Allocation, cells_of, solve_cell
 
 
 @dataclass
@@ -98,7 +98,7 @@ def init_state(net: NetworkInstance, memory_len: int,
 
 def _record(state: MechanismState, ev: Evaluator) -> None:
     per_bs = tuple(ev.cell(w, s).value
-                   for w, s in enumerate(ev.cells_of(state.profile)))
+                   for w, s in enumerate(cells_of(ev.net, state.profile)))
     state.trace.append(TraceRecord(
         iteration=state.iteration, profile=state.profile,
         throughput=float(sum(per_bs)), bs_throughput=per_bs))
@@ -116,9 +116,7 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     the same state, as one scalar call per bound."""
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     a = state.profile
-    costs = state.costs.tolist()
-    replies = [better_reply_set(net, a, i, mode, ev, margin=costs[i])
-               for i in range(net.num_users)]
+    replies = better_reply_set(net, a, mode, ev, state.costs.tolist())
     highs: List[int] = []
     for br, mem in zip(replies, state.memories):
         if br:
@@ -165,7 +163,6 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
                                    "without interference")
     if interference:
         net = dataclasses.replace(net, noise=net.noise.copy())
-        maps = channel_maps(net)
     state = init_state(net, memory_len, costs, seed)
     ev = evaluator if evaluator is not None else Evaluator(net, mode)
     _record(state, ev)
@@ -173,10 +170,10 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     while state.iteration < max_iter and state.stable < memory_len:
         if interference and not (fixed and state.stable >= 1):
             allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
-                      for w, users in enumerate(ev.cells_of(state.profile))
+                      for w, users in enumerate(cells_of(net, state.profile))
                       if users}
             noise = net.noise
-            update_interference_noise(net, state.profile, allocs, maps)
+            update_interference_noise(net, state.profile, allocs)
             fixed = np.array_equal(net.noise, noise)
             if not fixed:
                 ev = Evaluator(net, mode)
@@ -258,27 +255,17 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     return new_net
 
 
-def channel_maps(net: NetworkInstance) -> Tuple[np.ndarray, np.ndarray]:
-    """Per global channel, its position in its BS's block and its BS."""
-    pos_of = np.empty(net.num_channels, dtype=int)
-    for chans in net.channels_of_bs:
-        pos_of[chans] = np.arange(len(chans))
-    return pos_of, net.bs_of_channel()
-
-
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
-                              allocations: Dict[int, Allocation],
-                              maps: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                              ) -> None:
+                              allocations: Dict[int, Allocation]) -> None:
     """Refresh noise entries in place: thermal floor plus, on each of the
     serving BS's channels, the co-subcarrier transmit powers of every other
     BS weighted by the cross gains.  Per-BS channel blocks align by
     position (same conceptual subcarrier); a BS whose block is too short to
     have a channel at some position adds no interference there.  The
-    per-position sums run over the BSs in ascending order.  `maps` is
-    `channel_maps(net)`, which a caller refreshing the same instance many
-    times computes once."""
-    pos_of, owner = channel_maps(net) if maps is None else maps
+    per-position sums run over the BSs in ascending order."""
+    pos_of = np.empty(net.num_channels, dtype=int)   # position in its block
+    for chans in net.channels_of_bs:
+        pos_of[chans] = np.arange(len(chans))
     a = np.asarray(a)
     n_sub = max(len(chans) for chans in net.channels_of_bs)
     # interf[i, pos]: what user i receives at block position pos from
@@ -290,5 +277,5 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
             cross = net.gain[:, chans] * alloc.power
             cross[a == w] = 0.0       # a user's own BS does not interfere
             interf[:, :len(chans)] += cross
-    serving = owner == a[:, None]
+    serving = net.bs_of_channel() == a[:, None]
     net.noise = net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -213,7 +213,7 @@ def reported_rates(net: NetworkInstance, alloc: Allocation) -> Dict[int, float]:
     return _rates(net, alloc.bs, alloc.beta.tolist(), powers, alloc.best.tolist())
 
 
-def realized_rates(net: NetworkInstance, w: int, alloc: Allocation,
+def realized_rates(net: NetworkInstance, alloc: Allocation,
                    users: Optional[Iterable[int]] = None) -> Dict[int, float]:
     """Actual rates from the true channels; users holding no channel get 0."""
     rates = _rates_from_alloc(net, alloc, net.normalized_gain())
@@ -273,9 +273,14 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
     return flags
 
 
-def cells_of(a: Sequence[int], num_bss: int) -> Tuple[FrozenSet[int], ...]:
-    """Per-BS member sets of the association profile `a`, whose entries
-    must be BS indices in 0..num_bss-1."""
+def cells_of(net: NetworkInstance,
+             a: Sequence[int]) -> Tuple[FrozenSet[int], ...]:
+    """Per-BS member sets of the association profile `a`, which must hold
+    one BS index in 0..W-1 per user of `net`."""
+    if len(a) != net.num_users:
+        raise InvalidArgumentError(
+            f"profile has {len(a)} entries for {net.num_users} users")
+    num_bss = net.num_bss
     sets: List[set] = [set() for _ in range(num_bss)]
     for i, w in enumerate(a):
         if not 0 <= w < num_bss:
@@ -283,4 +288,3 @@ def cells_of(a: Sequence[int], num_bss: int) -> Tuple[FrozenSet[int], ...]:
                 f"user {i} has BS index {w}, outside 0..{num_bss - 1}")
         sets[w].add(i)
     return tuple(frozenset(s) for s in sets)
-

@@ -145,11 +145,11 @@ def _realized(net: NetworkInstance, a, reports,
     one solve of each occupied cell."""
     per_bs = [0.0] * net.num_bss
     per_user = [0.0] * net.num_users
-    for w, users in enumerate(cells_of(a, net.num_bss)):
+    for w, users in enumerate(cells_of(net, a)):
         if not users:
             continue
         alloc = solve_cell(net, w, users, reports, strategy)
-        rates = realized_rates(net, w, alloc, users)
+        rates = realized_rates(net, alloc, users)
         per_bs[w] = float(net.weight[w] * sum(rates.values()))
         for u, r in rates.items():
             per_user[u] = r
@@ -180,7 +180,7 @@ def _fmt(x) -> str:
             return "inf"
         if math.isnan(x):
             return "nan"
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 

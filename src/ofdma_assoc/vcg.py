@@ -45,7 +45,7 @@ def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
     rate sum of the cell without user i."""
     alpha = net.weight[w]
     alloc = solve_cell(net, w, users, values, strategy)
-    rate = realized_rates(net, w, alloc, users).get(i, 0.0)
+    rate = realized_rates(net, alloc, users).get(i, 0.0)
     with_i = sum(r for u, r in reported_rates(net, alloc).items() if u != i)
     t = alpha * (without_i - with_i)
     return UserOutcome(rate=rate, tax=t, utility=alpha * rate - t)
@@ -64,7 +64,7 @@ def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
     tax, and the quasilinear utility alpha*rate - tax."""
     w = a[i]
     values = _as_values(net, reports)
-    users = cells_of(a, net.num_bss)[w]
+    users = cells_of(net, a)[w]
     without_i = _reported_cell_sum(net, w, users - {i}, values, strategy)
     return _outcome(net, w, users, i, values, strategy, without_i)
 
@@ -100,7 +100,7 @@ def misreport_search(net: NetworkInstance, a: Sequence[int], i: int,
         raise InvalidArgumentError("trials must be >= 1")
     truthful = net.normalized_gain()
     w = a[i]
-    users = cells_of(a, net.num_bss)[w]
+    users = cells_of(net, a)[w]
     # the drop-out term of the tax does not depend on user i's report
     without_i = _reported_cell_sum(net, w, users - {i}, truthful, strategy)
     truthful_u = _outcome(net, w, users, i, truthful, strategy,

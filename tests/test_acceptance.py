@@ -17,8 +17,9 @@ from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
                                     enumerate_nes)
 from ofdma_assoc.net_model import (SatInstance, ScenarioConfig, generate,
                                    inject_estimation_error, reduce_3sat)
-from ofdma_assoc.per_bs_alloc import (CA, CAPA, realized_rates, reported_rates,
-                                      solve_ca, solve_capa, solve_cell)
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, cells_of, realized_rates,
+                                      reported_rates, solve_ca, solve_capa,
+                                      solve_cell)
 from ofdma_assoc.sim_cli import Campaign, run_campaign, write_outputs
 from ofdma_assoc.vcg import misreport_search, utility
 from test_per_bs_alloc import oracle_power_search
@@ -56,13 +57,13 @@ def test_criterion_01_example1_regression():
     net = fixtures.example1_network()
     g = net.normalized_gain()
     alloc = solve_ca(net, 0, [0, 1], g)
-    truthful = sum(realized_rates(net, 0, alloc, [0, 1]).values())
+    truthful = sum(realized_rates(net, alloc, [0, 1]).values())
     ok = abs(truthful - 3 * math.log(3)) < 1e-3
 
     lied = g.copy()
     lied[1] = [3.0, 3.0, 2.0]
     alloc = solve_ca(net, 0, [0, 1], lied)
-    rates = realized_rates(net, 0, alloc, [0, 1])
+    rates = realized_rates(net, alloc, [0, 1])
     total = sum(rates.values())
     ok &= abs(total - (2 * math.log(1.5) + math.log(3))) < 1e-3
     ratio = total / truthful
@@ -83,7 +84,7 @@ def test_criterion_02_example2_ca_exact():
     mode = GameMode(strategy=CA, taxed=False)
     ev = Evaluator(net, mode)
     no_ne = len(enumerate_nes(net, mode, ev).nes) == 0
-    rows = all(better_reply_set(net, p, u, mode, ev) == [t]
+    rows = all(better_reply_set(net, p, mode, ev)[u] == [t]
                for p, u, t in fixtures.EXAMPLE2_BR_TABLE)
     dt = time.perf_counter() - t0
     check(2, "Example-2 CA half: zero pure NEs and all 8 table rows exact",
@@ -102,7 +103,7 @@ def test_criterion_02_example2_capa_nominal():
     mode = GameMode(strategy=CAPA, taxed=False)
     ev = Evaluator(net, mode)
     no_ne = len(enumerate_nes(net, mode, ev).nes) == 0
-    rows = all(better_reply_set(net, p, u, mode, ev) == [t]
+    rows = all(better_reply_set(net, p, mode, ev)[u] == [t]
                for p, u, t in fixtures.EXAMPLE2_BR_TABLE)
     conftest.ACCEPTANCE_REPORT.append(
         "criterion 02: XFAIL - Example-2 CAPA half: nominal table "
@@ -118,11 +119,12 @@ def test_criterion_02_example2_capa_characterized():
     mode = GameMode(strategy=CAPA, taxed=False)
     ev = Evaluator(net, mode)
     deviant = fixtures.EXAMPLE2_CAPA_DEVIANT_PROFILE
-    rows = all(better_reply_set(net, p, u, mode, ev) == [t]
+    rows = all(better_reply_set(net, p, mode, ev)[u] == [t]
                for p, u, t in fixtures.EXAMPLE2_BR_TABLE if p != deviant)
     nes = [p for p, _ in enumerate_nes(net, mode, ev).nes]
-    stay = ev.utility(deviant, 2)
-    move = ev.move_utility(deviant, 2, 1)
+    cells = cells_of(net, deviant)
+    stay = ev.utility(deviant[2], cells[deviant[2]], 2)
+    move = ev.move_utility(1, cells[1], 2)
     ok = (rows and nes == [deviant]
           and abs(stay - math.log(15 / 8)) < 1e-12
           and abs(move - math.log(11 / 6)) < 1e-12)

@@ -9,7 +9,7 @@ from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
                                     deviation_identity_check, efficiency_ratio,
                                     enumerate_nes, is_ne, system_throughput)
 from ofdma_assoc.net_model import InvalidArgumentError
-from ofdma_assoc.per_bs_alloc import CA, CAPA
+from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of
 
 
 def random_profile(rng, net):
@@ -28,7 +28,7 @@ class TestBetterReply:
         mode = GameMode(strategy=CA, taxed=False)
         ev = Evaluator(net, mode)
         for profile, user, target in fixtures.EXAMPLE2_BR_TABLE:
-            assert better_reply_set(net, profile, user, mode, ev) == [target]
+            assert better_reply_set(net, profile, mode, ev)[user] == [target]
 
     def test_capa_table_consistent_rows(self):
         net = fixtures.example2_capa_network()
@@ -36,7 +36,7 @@ class TestBetterReply:
         ev = Evaluator(net, mode)
         deviant = fixtures.EXAMPLE2_CAPA_DEVIANT_PROFILE
         for profile, user, target in fixtures.EXAMPLE2_BR_TABLE:
-            br = better_reply_set(net, profile, user, mode, ev)
+            br = better_reply_set(net, profile, mode, ev)[user]
             if profile == deviant:
                 assert br == []     # exact arithmetic disagrees; see fixtures
             else:
@@ -48,16 +48,18 @@ class TestBetterReply:
         net = fixtures.example2_capa_network()
         ev = Evaluator(net, GameMode(strategy=CAPA, taxed=False))
         deviant = fixtures.EXAMPLE2_CAPA_DEVIANT_PROFILE
-        assert ev.utility(deviant, 2) == pytest.approx(math.log(15 / 8), abs=1e-12)
-        assert ev.move_utility(deviant, 2, 1) == pytest.approx(
+        cells = cells_of(net, deviant)
+        here = deviant[2]
+        assert ev.utility(here, cells[here], 2) == pytest.approx(
+            math.log(15 / 8), abs=1e-12)
+        assert ev.move_utility(1, cells[1], 2) == pytest.approx(
             math.log(11 / 6), abs=1e-12)
 
     def test_single_bs_always_empty(self, rng):
         net = random_network(rng, n_bss=1)
         mode = GameMode()
         a = [0] * net.num_users
-        for i in range(net.num_users):
-            assert better_reply_set(net, a, i, mode) == []
+        assert better_reply_set(net, a, mode) == [[]] * net.num_users
 
     def test_membership_implies_strict_gain(self, rng):
         for _ in range(50):
@@ -65,10 +67,11 @@ class TestBetterReply:
             mode = GameMode(strategy=CAPA, taxed=bool(rng.integers(0, 2)))
             ev = Evaluator(net, mode)
             a = random_profile(rng, net)
-            for i in range(net.num_users):
-                cur = ev.utility(a, i)
-                for w in better_reply_set(net, a, i, mode, ev):
-                    assert ev.move_utility(a, i, w) > cur
+            cells = cells_of(net, a)
+            for i, br in enumerate(better_reply_set(net, a, mode, ev)):
+                cur = ev.utility(a[i], cells[a[i]], i)
+                for w in br:
+                    assert ev.move_utility(w, cells[w], i) > cur
 
 
 class TestIsNE:
@@ -91,8 +94,9 @@ class TestIsNE:
             net = random_network(rng, n_users=1)
             mode = GameMode()
             ev = Evaluator(net, mode)
-            utils = [ev.move_utility((0,), 0, w) if w != 0 else ev.utility((0,), 0)
-                     for w in range(net.num_bss)]
+            cells = cells_of(net, (0,))
+            utils = [ev.move_utility(w, cells[w], 0) if w != 0
+                     else ev.utility(0, cells[0], 0) for w in range(net.num_bss)]
             best = int(np.argmax(utils))
             assert is_ne(net, (best,), mode, ev)
 
@@ -119,22 +123,21 @@ class TestSystemThroughput:
 class TestMemberSetMemo:
     def test_in_place_change_gets_fresh_sets(self, rng):
         """A list profile changed in place after a query is not served the
-        member sets of its old contents."""
+        member sets or values of its old contents."""
         net = random_network(rng, n_users=5, n_bss=3)
         mode = GameMode()
         ev = Evaluator(net, mode)
         a = [0, 1, 2, 0, 1]
-        old = ev.cells_of(a)
-        assert isinstance(old, tuple)
-        [ev.utility(a, i) for i in range(net.num_users)]
+        old = cells_of(net, a)
+        old_value = ev.system_value(a)
         a[0], a[3] = 2, 1
         fresh = Evaluator(net, mode)
-        assert ev.cells_of(a) == fresh.cells_of(a) != old
-        assert ev.system_value(a) == fresh.system_value(a)
+        cells = cells_of(net, a)
+        assert cells != old
+        assert ev.system_value(a) == fresh.system_value(a) != old_value
         for i in range(net.num_users):
-            assert ev.utility(a, i) == fresh.utility(a, i)
-            for w in range(net.num_bss):
-                assert ev.move_utility(a, i, w) == fresh.move_utility(a, i, w)
+            assert ev.utility(a[i], cells[a[i]], i) == fresh.utility(
+                a[i], cells[a[i]], i)
 
     def test_in_place_change_gets_fresh_better_replies(self, rng):
         """Likewise for the utility rows behind `better_reply_set`."""
@@ -142,11 +145,11 @@ class TestMemberSetMemo:
         mode = GameMode()
         ev = Evaluator(net, mode)
         a = [0, 1, 2, 0, 1]
-        old = [better_reply_set(net, a, i, mode, ev) for i in range(5)]
+        old = better_reply_set(net, a, mode, ev)
         a[0], a[3] = 2, 1
         fresh = Evaluator(net, mode)
-        new = [better_reply_set(net, a, i, mode, ev) for i in range(5)]
-        assert new == [better_reply_set(net, a, i, mode, fresh) for i in range(5)]
+        new = better_reply_set(net, a, mode, ev)
+        assert new == better_reply_set(net, a, mode, fresh)
         assert new != old
         assert ev.utilities(a) == fresh.utilities(a)
 
@@ -230,5 +233,6 @@ class TestValidUtilityConditions:
             mode = GameMode(strategy=CAPA, taxed=True)
             ev = Evaluator(net, mode)
             a = random_profile(rng, net)
-            total = sum(ev.utility(a, i) for i in range(net.num_users))
+            cells = cells_of(net, a)
+            total = sum(ev.utility(a[i], cells[a[i]], i) for i in range(net.num_users))
             assert total <= ev.system_value(a) + 1e-9

@@ -87,6 +87,24 @@ class TestCampaign:
         recomputed = float(np.mean(rows[0].throughput["dbsa"]))
         assert emitted == pytest.approx(recomputed, abs=1e-12)
 
+    def test_summary_cells_parse_as_floats(self, tmp_path):
+        """With `exhaustive` the efficiency columns fill in; every summary
+        cell stays a plain number (`eff_min` once read `np.float64(1.0)`)."""
+        c = small_campaign(
+            scenario=ScenarioConfig(num_users=6, num_bss=3, num_channels=12,
+                                    seed=0),
+            algorithms=("dbsa", "nearest", "exhaustive", "bound"),
+            d_values=(0.5,), trials=2, base_seed=1)
+        write_outputs(c, run_campaign(c), str(tmp_path))
+        with open(tmp_path / "summary.csv") as fh:
+            header, *rows = fh.read().splitlines()
+        assert rows and all(row.split(",")[header.split(",").index("eff_min")]
+                            for row in rows)
+        for row in rows:
+            for cell in row.split(","):
+                if cell:
+                    float(cell)
+
     def test_infeasible_point_becomes_error_row(self):
         c = small_campaign(algorithms=("exhaustive",), d_values=(0.5,),
                            trials=1,

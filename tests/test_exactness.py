@@ -23,7 +23,7 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
-                                      _rates_from_alloc, contenders,
+                                      _rates_from_alloc, cells_of, contenders,
                                       reported_rates, solve_cell, water_fill)
 
 # -- reference kernel: the plain NumPy bodies the lean kernel replaced ------
@@ -263,6 +263,15 @@ def test_rates_of_empty_and_partial_allocations():
 # -- the zero-marginal rules ------------------------------------------------
 
 
+def ref_utility_in(ev, i, w, members):
+    """Utility of user i if cell w's user set were `members` (i included),
+    from the cell solves with and without i."""
+    with_i = ev.cell(w, members)
+    if not ev.mode.taxed:
+        return with_i.rates.get(i, 0.0)
+    return with_i.value - ev.cell(w, members - {i}).value
+
+
 def _network(rng):
     """Small random network with the corner cases the rules must survive:
     duplicated report rows (ties), zero rows and zero entries, uneven
@@ -301,13 +310,14 @@ def test_rules_match_two_solve_formula(strategy, taxed):
         ref = Evaluator(net, mode)
         for _ in range(4):
             a = tuple(int(x) for x in rng.integers(0, net.num_bss, net.num_users))
-            cells = ref.cells_of(a)
+            cells = cells_of(net, a)
             for i in range(net.num_users):
-                assert ev.utility(a, i) == ref.utility_in(i, a[i], cells[a[i]])
+                here = cells[a[i]]
+                assert ev.utility(a[i], here, i) == ref_utility_in(ref, i, a[i], here)
                 for w in range(net.num_bss):
                     if w != a[i]:
-                        assert ev.move_utility(a, i, w) == ref.utility_in(
-                            i, w, cells[w] | {i})
+                        assert ev.move_utility(w, cells[w], i) == ref_utility_in(
+                            ref, i, w, cells[w] | {i})
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -355,9 +365,9 @@ def test_zero_rate_member_can_still_change_the_cell():
     cell = frozenset({0, 1})
     assert ev.cell(0, cell).rates[1] == 0.0
     assert solve_contenders(net, 0, cell, ev.reports, CAPA).tolist() == [True, True]
-    marginal = Evaluator(net, GameMode(strategy=CAPA)).utility_in(1, 0, cell)
+    marginal = ref_utility_in(Evaluator(net, GameMode(strategy=CAPA)), 1, 0, cell)
     assert marginal != 0.0
-    assert ev.utility((0, 0), 1) == marginal
+    assert ev.utility(0, cell, 1) == marginal
 
 
 def test_zero_report_joiner_can_change_a_ca_cell():
@@ -371,10 +381,10 @@ def test_zero_report_joiner_can_change_a_ca_cell():
                    [0.0, 0.0, 5.276002188845262, 0.0]], 4.0)
     ev = Evaluator(net, GameMode(strategy=CA))
     assert solve_contenders(net, 0, {1, 2, 3}, ev.reports, CA)[0]
-    marginal = Evaluator(net, GameMode(strategy=CA)).utility_in(
-        0, 0, frozenset({0, 1, 2, 3}))
+    marginal = ref_utility_in(Evaluator(net, GameMode(strategy=CA)),
+                              0, 0, frozenset({0, 1, 2, 3}))
     assert marginal != 0.0
-    assert ev.move_utility((1, 0, 0, 0), 0, 0) == marginal
+    assert ev.move_utility(0, frozenset({1, 2, 3}), 0) == marginal
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -393,20 +403,22 @@ def test_non_contender_move_makes_no_solve(strategy, monkeypatch):
         raise AssertionError("cell solve for a non-contender")
 
     monkeypatch.setattr(assoc_game, "solve_cell", no_solve)
-    assert ev.move_utility(a, 2, 0) == 0.0
+    assert ev.move_utility(0, frozenset({0, 1}), 2) == 0.0
 
 
 # -- better replies from the per-cell utility rows -------------------------
 
 
 def ref_better_reply_set(net, a, i, mode, ev, margin=0.0):
-    """The per-query body the row lookup replaced."""
-    current = ev.utility(a, i)
+    """User i's better replies from per-query utilities: the body the
+    row lookup replaced."""
+    cells = cells_of(net, a)
+    current = ev.utility(a[i], cells[a[i]], i)
     out = []
     for w in range(net.num_bss):
         if w == a[i]:
             continue
-        if ev.move_utility(a, i, w) > current + margin + assoc_game.STRICT_TOL:
+        if ev.move_utility(w, cells[w], i) > current + margin + assoc_game.STRICT_TOL:
             out.append(w)
     return out
 
@@ -415,8 +427,8 @@ def ref_better_reply_set(net, a, i, mode, ev, margin=0.0):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_better_replies_match_per_query_reference(strategy, taxed):
     """One Evaluator walks through several profiles, so rows cached under
-    one profile serve the next; every answer matches a fresh Evaluator's
-    scalar queries."""
+    one profile serve the next; every row of the per-profile result, with
+    and without margins, matches a fresh Evaluator's scalar queries."""
     rng = np.random.default_rng(8)
     mode = GameMode(strategy=strategy, taxed=taxed)
     for _ in range(100):
@@ -426,14 +438,19 @@ def test_better_replies_match_per_query_reference(strategy, taxed):
             a = tuple(int(x) for x in rng.integers(0, net.num_bss, net.num_users))
             ref = Evaluator(net, mode)
             rows = ev.utilities(a)
+            cells = cells_of(net, a)
             for i in range(net.num_users):
                 for w in range(net.num_bss):
-                    scalar = (ref.utility(a, i) if w == a[i]
-                              else ref.move_utility(a, i, w))
+                    scalar = (ref.utility(w, cells[w], i) if w == a[i]
+                              else ref.move_utility(w, cells[w], i))
                     assert rows[w][i] == scalar
-                for margin in (0.0, float(rng.uniform(0.0, 2.0)), math.inf):
-                    got = assoc_game.better_reply_set(net, a, i, mode, ev, margin)
-                    assert got == ref_better_reply_set(net, a, i, mode, ref, margin)
+            n = net.num_users
+            for margins in (None, [0.0] * n, rng.uniform(0.0, 2.0, n).tolist(),
+                            [math.inf] * n):
+                got = assoc_game.better_reply_set(net, a, mode, ev, margins)
+                assert got == [ref_better_reply_set(
+                    net, a, i, mode, ref, 0.0 if margins is None else margins[i])
+                    for i in range(n)]
 
 
 # -- the oracles: pruned search and screened enumeration --------------------

@@ -6,17 +6,16 @@ import pytest
 
 from conftest import random_network
 from ofdma_assoc import fixtures, mechanism
-from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
-                                    is_ne)
+from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
 from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
-                                   RunResult, apply_event, channel_maps,
-                                   init_state,
+                                   RunResult, apply_event, init_state,
                                    nearest_bs_profile, run, step,
                                    update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig, generate)
 from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of, solve_capa, solve_cell
+from test_exactness import ref_better_reply_set
 
 
 def positioned_network():
@@ -59,13 +58,13 @@ class TestInit:
 
 
 def reference_step(net, state, mode, ev):
-    """`step` with one scalar draw per better reply and per memory slot,
-    interleaved user by user."""
+    """`step` with per-user better-reply queries and one scalar draw per
+    better reply and per memory slot, interleaved user by user."""
     a = state.profile
     next_a = list(a)
     costs = state.costs.tolist()
     for i in range(net.num_users):
-        br = better_reply_set(net, a, i, mode, ev, margin=costs[i])
+        br = ref_better_reply_set(net, a, i, mode, ev, costs[i])
         w_star = br[state.rng.integers(0, len(br))] if br else a[i]
         state.memories[i].appendleft(w_star)
         mem = state.memories[i]
@@ -431,12 +430,10 @@ class TestInterference:
             a = tuple(int(w) for w in rng.integers(0, net.num_bss, net.num_users))
             g = net.normalized_gain()
             allocs = {w: solve_capa(net, w, users, g)
-                      for w, users in enumerate(cells_of(a, net.num_bss))
+                      for w, users in enumerate(cells_of(net, a))
                       if users}
             expected = reference_interference_noise(net, a, allocs)
             update_interference_noise(net, a, allocs)
-            assert np.array_equal(net.noise, expected)
-            update_interference_noise(net, a, allocs, channel_maps(net))
             assert np.array_equal(net.noise, expected)
 
     def test_single_bs_noise_unchanged(self, rng):
@@ -528,7 +525,7 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
     mechanism._record(state, ev)
     while state.iteration < max_iter and state.stable < memory_len:
         allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
-                  for w, users in enumerate(cells_of(state.profile, net.num_bss))
+                  for w, users in enumerate(cells_of(net, state.profile))
                   if users}
         update_interference_noise(net, state.profile, allocs)
         ev = Evaluator(net, mode)

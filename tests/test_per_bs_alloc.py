@@ -210,7 +210,7 @@ class TestRates:
         reports[1] = [3.0, 3.0, 2.0]
         alloc = solve_ca(net, 0, [0, 1], reports)
         assert alloc.beta.tolist() == [1, 1, 1]
-        rates = realized_rates(net, 0, alloc, [0, 1])
+        rates = realized_rates(net, alloc, [0, 1])
         assert rates[0] == 0.0
         assert rates[1] == pytest.approx(2 * math.log(1.5) + math.log(3), abs=1e-9)
 
@@ -220,7 +220,7 @@ class TestRates:
         for w in range(net.num_bss):
             alloc = solve_capa(net, w, range(net.num_users), reports)
             rep = reported_rates(net, alloc)
-            real = realized_rates(net, w, alloc)
+            real = realized_rates(net, alloc)
             for u in rep:
                 assert rep[u] == pytest.approx(real[u], abs=1e-12)
 
@@ -248,7 +248,21 @@ class TestCellsOf:
         profile = (bad, 0, 0)
         match = f"user 0 has BS index {bad}"
         with pytest.raises(InvalidArgumentError, match=match):
-            cells_of(profile, net.num_bss)
+            cells_of(net, profile)
+        with pytest.raises(InvalidArgumentError, match=match):
+            system_throughput(net, profile, CA)
+        with pytest.raises(InvalidArgumentError, match=match):
+            vcg.utility(net, profile, 0, None, CA)
+
+    @pytest.mark.parametrize("profile", [(0, 1), (0, 1, 0, 1)])
+    def test_profile_length_checked(self, profile):
+        """A profile shorter than the user list must not silently drop the
+        last users (the 2-entry profile used to give 2.5702 where the full
+        one gives 3.6688), nor a longer one surface as a bare IndexError."""
+        net = fixtures.example2_ca_network()
+        match = f"profile has {len(profile)} entries for 3 users"
+        with pytest.raises(InvalidArgumentError, match=match):
+            cells_of(net, profile)
         with pytest.raises(InvalidArgumentError, match=match):
             system_throughput(net, profile, CA)
         with pytest.raises(InvalidArgumentError, match=match):

@@ -39,8 +39,9 @@ class TestTax:
 
 
 class TestCellsOf:
-    def test_partitions_users_by_bs(self):
-        assert cells_of([2, 0, 2, 1, 2], 4) == (
+    def test_partitions_users_by_bs(self, rng):
+        net = random_network(rng, n_users=5, n_bss=4)
+        assert cells_of(net, [2, 0, 2, 1, 2]) == (
             frozenset({1}), frozenset({3}), frozenset({0, 2, 4}), frozenset())
 
 
@@ -71,7 +72,7 @@ class TestUtility:
                     return net.weight[w] * sum(
                         reported_rates(net, alloc).values())
 
-                users = cells_of(a, net.num_bss)[w]
+                users = cells_of(net, a)[w]
                 expected = value(users) - value(users - {i})
                 got = utility(net, a, i, None, strategy).utility
                 assert got == pytest.approx(expected, abs=1e-12)
@@ -110,10 +111,10 @@ class TestMisreportSearch:
                 users = list(range(net.num_users))
                 w = int(rng.integers(0, net.num_bss))
                 alloc = solve_cell(net, w, users, g, strategy)
-                truthful = sum(realized_rates(net, w, alloc, users).values())
+                truthful = sum(realized_rates(net, alloc, users).values())
                 fake = g.copy()
                 i = int(rng.integers(0, net.num_users))
                 fake[i] *= 10.0 ** rng.uniform(-2, 2, size=net.num_channels)
                 alloc = solve_cell(net, w, users, fake, strategy)
-                lied = sum(realized_rates(net, w, alloc, users).values())
+                lied = sum(realized_rates(net, alloc, users).values())
                 assert lied <= truthful + 1e-9
