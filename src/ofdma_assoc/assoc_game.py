@@ -129,8 +129,16 @@ def mask_members(mask: int) -> FrozenSet[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _eval(net, mode, evaluator: Optional[Evaluator]) -> Evaluator:
-    return evaluator if evaluator is not None else Evaluator(net, mode)
+def _eval(net: NetworkInstance, mode: GameMode,
+          evaluator: Optional[Evaluator]) -> Evaluator:
+    """The game's Evaluator: a new one, or `evaluator` if it is of this very
+    `net` object and of `mode`; one of another game is an error."""
+    if evaluator is None:
+        return Evaluator(net, mode)
+    if evaluator.net is not net or (evaluator.mode is not mode
+                                    and evaluator.mode != mode):
+        raise InvalidArgumentError("evaluator must be of this net and mode")
+    return evaluator
 
 
 def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
@@ -152,7 +160,7 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
 def is_ne(net: NetworkInstance, a: Sequence[int], mode: GameMode,
           evaluator: Optional[Evaluator] = None) -> bool:
     """No user has a better reply."""
-    return not any(better_reply_set(net, a, mode, evaluator))
+    return not any(better_reply_set(net, a, mode, _eval(net, mode, evaluator)))
 
 
 def system_throughput(net: NetworkInstance, a: Sequence[int],

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assoc_game import Evaluator, GameMode, _eval, mask_members
+from .assoc_game import STRICT_TOL, Evaluator, GameMode, _eval, mask_members
 from .mechanism import nearest_bs_profile
 from .net_model import InvalidArgumentError, NetworkInstance
 from .per_bs_alloc import CAPA
@@ -88,10 +88,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     for i in range(n - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
     # per BS: cell value by member bitmask, and the current cell
-    values = [{0: 0.0} for _ in range(net.num_bss)]
-    for i, row in enumerate(singleton):
-        for w, v in row.items():
-            values[w][1 << i] = v
+    values = [{} for _ in range(net.num_bss)]
     masks = [0] * net.num_bss
     current = [0.0] * net.num_bss
 
@@ -144,7 +141,7 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
     value = ev.system_value(a)
     evals = 1
     while True:
-        best_move, best_gain = None, 1e-12
+        best_move, best_gain = None, STRICT_TOL
         for i in range(net.num_users):
             for w in range(net.num_bss):
                 if w == a[i]:
@@ -158,8 +155,7 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
         if best_move is None:
             break
         a[best_move[0]] = best_move[1]
-        value += best_gain
-        value = ev.system_value(a)   # re-anchor to avoid drift
+        value = ev.system_value(a)
     return BaselineResult(profile=tuple(a), throughput=value, evaluations=evals)
 
 

@@ -14,7 +14,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .assoc_game import Evaluator, GameMode, better_reply_set, is_ne
+from .assoc_game import Evaluator, GameMode, _eval, better_reply_set, is_ne
 from .net_model import InvalidArgumentError, NetworkInstance
 from .per_bs_alloc import Allocation, cells_of, solve_cell
 
@@ -114,7 +114,7 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     a better reply (only for a user that has one), then a memory slot.
     An array of bounds draws the same values, and leaves the generator in
     the same state, as one scalar call per bound."""
-    ev = evaluator if evaluator is not None else Evaluator(net, mode)
+    ev = _eval(net, mode, evaluator)
     a = state.profile
     replies = better_reply_set(net, a, mode, ev, state.costs.tolist())
     highs: List[int] = []
@@ -148,23 +148,22 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     """Iterate the mechanism until the stopping rule fires or max_iter is
     reached.  With `interference`, per-user noise entries are refreshed from
     the other cells' latest power allocations before each BS round; the
-    noise refresh works on a copy, so the caller's instance is unchanged.
-    A refresh that leaves the noise equal keeps the round's `Evaluator`
-    (same reports); after such a fixed point, a round whose profile did not
-    change skips the refresh (same cells on the same reports give the same
-    noise).  An `evaluator` of `net` and `mode` supplies the reports and
-    shares its cache; interference mode changes the instance, so takes
-    none."""
+    refreshed noise goes to a private copy of `net`, so the caller's
+    instance is unchanged.  A refresh that leaves the noise equal keeps the
+    round's `Evaluator` (same reports); after such a fixed point, a round
+    whose profile did not change skips the refresh (same cells on the same
+    reports give the same noise).  A shared `evaluator` supplies the
+    reports and its cache; like every entry that takes one, `run` refuses
+    one of another instance or mode (see `assoc_game._eval`).  Interference
+    mode changes the instance, so takes none."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
-    if evaluator is not None and (evaluator.net is not net or evaluator.mode != mode
-                                  or interference):
-        raise InvalidArgumentError("evaluator must be of this net and mode, "
-                                   "without interference")
     if interference:
-        net = dataclasses.replace(net, noise=net.noise.copy())
+        if evaluator is not None:
+            raise InvalidArgumentError("interference mode takes no evaluator")
+        net = dataclasses.replace(net)   # the refresh rebinds this copy's noise
+    ev = _eval(net, mode, evaluator)
     state = init_state(net, memory_len, costs, seed)
-    ev = evaluator if evaluator is not None else Evaluator(net, mode)
     _record(state, ev)
     fixed = False                 # the last refresh left the noise equal
     while state.iteration < max_iter and state.stable < memory_len:
@@ -172,10 +171,10 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
             allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
                       for w, users in enumerate(cells_of(net, state.profile))
                       if users}
-            noise = net.noise
-            update_interference_noise(net, state.profile, allocs)
-            fixed = np.array_equal(net.noise, noise)
+            noise = update_interference_noise(net, state.profile, allocs)
+            fixed = np.array_equal(noise, net.noise)
             if not fixed:
+                net.noise = noise
                 ev = Evaluator(net, mode)
         step(net, state, mode, ev)
         _record(state, ev)
@@ -256,13 +255,13 @@ def apply_event(net: NetworkInstance, state: MechanismState,
 
 
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
-                              allocations: Dict[int, Allocation]) -> None:
-    """Refresh noise entries in place: thermal floor plus, on each of the
-    serving BS's channels, the co-subcarrier transmit powers of every other
-    BS weighted by the cross gains.  Per-BS channel blocks align by
-    position (same conceptual subcarrier); a BS whose block is too short to
-    have a channel at some position adds no interference there.  The
-    per-position sums run over the BSs in ascending order."""
+                              allocations: Dict[int, Allocation]) -> np.ndarray:
+    """The refreshed noise entries, `net` left unchanged: thermal floor
+    plus, on each of the serving BS's channels, the co-subcarrier transmit
+    powers of every other BS weighted by the cross gains.  Per-BS channel
+    blocks align by position (same conceptual subcarrier); a BS whose block
+    is too short to have a channel at some position adds no interference
+    there.  The per-position sums run over the BSs in ascending order."""
     pos_of = np.empty(net.num_channels, dtype=int)   # position in its block
     for chans in net.channels_of_bs:
         pos_of[chans] = np.arange(len(chans))
@@ -278,4 +277,4 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
             cross[a == w] = 0.0       # a user's own BS does not interfere
             interf[:, :len(chans)] += cross
     serving = net.bs_of_channel() == a[:, None]
-    net.noise = net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)
+    return net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -171,7 +171,7 @@ class ScenarioConfig:
     bit-identical instances.
     """
 
-    mode: str = "indoor"          # indoor | outdoor | explicit
+    mode: str = "indoor"          # indoor | outdoor
     num_users: int = 10
     num_bss: int = 4
     num_channels: int = 64        # total for indoor; per-BS FFT size for outdoor
@@ -193,6 +193,8 @@ class ScenarioConfig:
             raise InvalidArgumentError("distribution factor must be in [0, 1]")
         if not 0.0 < self.ber < 1.0:
             raise InvalidArgumentError("BER must be in (0, 1)")
+        if self.multipath_profile != "peda":
+            raise InvalidArgumentError("the only multipath profile is 'peda'")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

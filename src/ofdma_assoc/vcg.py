@@ -22,12 +22,6 @@ class UserOutcome:
     utility: float
 
 
-def _as_values(net: NetworkInstance, reports) -> np.ndarray:
-    if reports is None:
-        return net.normalized_gain()
-    return np.asarray(reports, dtype=float)
-
-
 def _reported_cell_sum(net: NetworkInstance, w: int, users: Iterable[int],
                        values: np.ndarray, strategy: str) -> float:
     """Sum of reported rates in cell w."""
@@ -63,7 +57,7 @@ def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
     """Realized rate (true channels, allocation from reports), reported-side
     tax, and the quasilinear utility alpha*rate - tax."""
     w = a[i]
-    values = _as_values(net, reports)
+    values = net.normalized_gain() if reports is None else np.asarray(reports, float)
     users = cells_of(net, a)[w]
     without_i = _reported_cell_sum(net, w, users - {i}, values, strategy)
     return _outcome(net, w, users, i, values, strategy, without_i)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_network
-from ofdma_assoc import fixtures, mechanism
+from ofdma_assoc import assoc_game, fixtures, mechanism
 from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
 from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
@@ -233,18 +233,11 @@ class TestRun:
             assert run(net, 3, 0.1, 200, seed) == run(
                 net, 3, 0.1, 200, seed, evaluator=Evaluator(net, GameMode()))
 
-    @pytest.mark.parametrize("mismatch", [
-        dict(net=positioned_network()),
-        dict(mode=GameMode(strategy=CA)),
-        dict(interference=True),
-    ], ids=["net", "mode", "interference"])
-    def test_shared_evaluator_rejected(self, mismatch):
+    def test_interference_takes_no_evaluator(self):
         net = positioned_network()
-        ev = Evaluator(net, GameMode())
-        args = dict(net=net, memory_len=3, costs=0.0, max_iter=50, seed=1)
-        args.update(mismatch)
         with pytest.raises(InvalidArgumentError):
-            run(evaluator=ev, **args)
+            run(net, 3, 0.0, 50, seed=1, interference=True,
+                evaluator=Evaluator(net, GameMode()))
 
 
 class TestProfileType:
@@ -433,15 +426,14 @@ class TestInterference:
                       for w, users in enumerate(cells_of(net, a))
                       if users}
             expected = reference_interference_noise(net, a, allocs)
-            update_interference_noise(net, a, allocs)
-            assert np.array_equal(net.noise, expected)
+            assert np.array_equal(update_interference_noise(net, a, allocs),
+                                  expected)
 
     def test_single_bs_noise_unchanged(self, rng):
         net = random_network(rng, n_bss=1)
         alloc = solve_capa(net, 0, range(net.num_users), net.normalized_gain())
-        before = net.noise.copy()
-        update_interference_noise(net, [0] * net.num_users, {0: alloc})
-        assert np.allclose(net.noise, before)
+        noise = update_interference_noise(net, [0] * net.num_users, {0: alloc})
+        assert np.allclose(noise, net.noise)
 
     def test_zero_cross_gain_unchanged(self):
         gain = np.array([[1.0, 1.0, 0.0, 0.0],
@@ -452,9 +444,8 @@ class TestInterference:
                               bandwidth=np.ones(2), tau=1.0)
         g = net.normalized_gain()
         allocs = {0: solve_capa(net, 0, [0], g), 1: solve_capa(net, 1, [1], g)}
-        before = net.noise.copy()
-        update_interference_noise(net, [0, 1], allocs)
-        assert np.allclose(net.noise, before)
+        assert np.allclose(update_interference_noise(net, [0, 1], allocs),
+                           net.noise)
 
     def test_two_bs_hand_check(self):
         """Cross-BS power x gain lands on the position-aligned channel."""
@@ -468,13 +459,13 @@ class TestInterference:
         allocs = {0: solve_capa(net, 0, [0], g), 1: solve_capa(net, 1, [1], g)}
         p0 = allocs[0].power
         p1 = allocs[1].power
-        update_interference_noise(net, [0, 1], allocs)
+        noise = update_interference_noise(net, [0, 1], allocs)
         # user 0 served by BS 0: noise on its channels gains BS 1's powers
-        assert net.noise[0, 0] == pytest.approx(1.0 + 0.5 * p1[0])
-        assert net.noise[0, 1] == pytest.approx(1.0 + 0.25 * p1[1])
+        assert noise[0, 0] == pytest.approx(1.0 + 0.5 * p1[0])
+        assert noise[0, 1] == pytest.approx(1.0 + 0.25 * p1[1])
         # user 1 served by BS 1: noise on channels 2,3 gains BS 0's powers
-        assert net.noise[1, 2] == pytest.approx(1.0 + 0.3 * p0[0])
-        assert net.noise[1, 3] == pytest.approx(1.0 + 0.4 * p0[1])
+        assert noise[1, 2] == pytest.approx(1.0 + 0.3 * p0[0])
+        assert noise[1, 3] == pytest.approx(1.0 + 0.4 * p0[1])
 
     def test_unequal_blocks_hand_check(self):
         """Blocks of 2 and 1 channels: position 1 of BS 0 has no co-channel
@@ -488,10 +479,22 @@ class TestInterference:
         g = net.normalized_gain()
         allocs = {0: solve_capa(net, 0, [0], g), 1: solve_capa(net, 1, [1], g)}
         assert allocs[1].power[0] == pytest.approx(3.0)
-        update_interference_noise(net, [0, 1], allocs)
-        assert net.noise[0, 0] == pytest.approx(1.0 + 0.5 * 3.0)
-        assert net.noise[0, 1] == 1.0
-        assert net.noise[1, 2] == pytest.approx(1.0 + 0.3 * allocs[0].power[0])
+        noise = update_interference_noise(net, [0, 1], allocs)
+        assert noise[0, 0] == pytest.approx(1.0 + 0.5 * 3.0)
+        assert noise[0, 1] == 1.0
+        assert noise[1, 2] == pytest.approx(1.0 + 0.3 * allocs[0].power[0])
+
+    def test_refresh_leaves_caller_noise(self, rng):
+        """A direct call returns the refreshed noise; `net` is unchanged."""
+        net = random_network(rng, n_users=4, n_bss=2)
+        a = (0, 1, 0, 1)
+        g = net.normalized_gain()
+        allocs = {w: solve_capa(net, w, users, g)
+                  for w, users in enumerate(cells_of(net, a))}
+        before = net.noise.copy()
+        noise = update_interference_noise(net, a, allocs)
+        assert np.array_equal(net.noise, before)
+        assert not np.array_equal(noise, before)
 
     def test_unequal_blocks_run(self):
         """K=10 over W=4 gives blocks 3/3/2/2."""
@@ -527,7 +530,7 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
         allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
                   for w, users in enumerate(cells_of(net, state.profile))
                   if users}
-        update_interference_noise(net, state.profile, allocs)
+        net.noise = update_interference_noise(net, state.profile, allocs)
         ev = Evaluator(net, mode)
         reference_step(net, state, mode, ev)
         mechanism._record(state, ev)
@@ -557,6 +560,7 @@ class _Counts:
             return update_interference_noise(*args, **kwargs)
 
         monkeypatch.setattr(mechanism, "Evaluator", CountingEvaluator)
+        monkeypatch.setattr(assoc_game, "Evaluator", CountingEvaluator)
         monkeypatch.setattr(mechanism, "solve_cell", counting_solve)
         monkeypatch.setattr(mechanism, "update_interference_noise",
                             counting_refresh)

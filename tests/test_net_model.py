@@ -100,6 +100,12 @@ class TestScenarioConfig:
         with pytest.raises(InvalidArgumentError):
             ScenarioConfig(distribution_factor=d)
 
+    def test_unknown_multipath_profile_rejected(self):
+        """The outdoor generator draws PedA only; another name is an error,
+        not a silently ignored field."""
+        with pytest.raises(InvalidArgumentError):
+            ScenarioConfig(mode="outdoor", multipath_profile="veha")
+
 
 class TestIndoorScenario:
     def test_determinism(self):
