@@ -18,10 +18,12 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import CAPA, cells_of, contenders, reported_rates, solve_cell
+from .per_bs_alloc import (CAPA, Allocation, cells_of, contenders,
+                           reported_rates, solve_cell, solve_cells)
 
 STRICT_TOL = 1e-12
 ENUM_CAP = 10 ** 7
+CHUNK = 32                        # cells per batched solve in `_solve_masks`
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,20 @@ class Evaluator:
         if hit is not None:
             return hit
         if not users:
-            res = CellResult(0.0, {})
-        else:
-            alloc = solve_cell(self.net, w, users, self.reports, self.mode.strategy)
-            rates = reported_rates(self.net, alloc)
-            for u in users:
-                rates.setdefault(u, 0.0)
-            res = CellResult(self.net.weight[w] * sum(rates.values()), rates,
-                             solve=(alloc.held, alloc.best, alloc.bound))
-        self._cache[key] = res
+            res = self._cache[key] = CellResult(0.0, {})
+            return res
+        return self._enter(w, users, solve_cell(self.net, w, users, self.reports,
+                                                self.mode.strategy))
+
+    def _enter(self, w: int, users: FrozenSet[int], alloc: Allocation) -> CellResult:
+        """Cache and return the result of the non-empty cell (w, users)
+        from its solve `alloc`."""
+        rates = reported_rates(self.net, alloc)
+        for u in users:
+            rates.setdefault(u, 0.0)
+        res = self._cache[(w, users)] = CellResult(
+            self.net.weight[w] * sum(rates.values()), rates,
+            solve=(alloc.held, alloc.best, alloc.bound))
         return res
 
     def system_value(self, a: Sequence[int]) -> float:
@@ -237,13 +244,16 @@ def _profile_values(ev: Evaluator, n: int,
     over the BSs left to right from 0 as `Evaluator.system_value` sums,
     and the sum over BSs of the largest |cell value|, which bounds every
     partial sum.  With two or more BSs every user set is cell w of some
-    profile, so each of the W·2^N cells is solved once through `ev.cell`;
-    a profile's cell w is found by its member bitmask."""
+    profile, so each of the W·2^N cells is needed: `_solve_masks` enters
+    those `ev` has not cached, solved in batches from per-channel winners
+    that a DP over member bitmasks builds, and the table reads them through
+    `ev.cell`.  A profile's cell w is found by its member bitmask."""
     shape = (w_cnt,) * n
     sets = [mask_members(m) for m in range(1 << n)]
     total = np.zeros(shape)
     scale = 0.0
     for w in range(w_cnt):
+        _solve_masks(ev, w, sets)
         table = np.array([ev.cell(w, s).value for s in sets])
         scale += np.abs(table).max()
         here = (np.arange(w_cnt) == w).astype(np.int64)
@@ -252,6 +262,61 @@ def _profile_values(ev: Evaluator, n: int,
             mask += (here << i).reshape((1,) * i + (w_cnt,) + (1,) * (n - 1 - i))
         total += table[mask]
     return total.ravel(), scale
+
+
+def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
+    """Enter in `ev` every cell (w, sets[m]) it has not cached, m > 0 over
+    all 2^N member bitmasks, as the same results `ev.cell` would build, from
+    batched solves of CHUNK cells each (`solve_cells`).
+
+    A cell's per-channel winners are merged from those of its lower and its
+    upper users (bits below and from N // 2), each half tabulated for all
+    its masks by `_mask_winners`.  Every upper user is above every lower
+    one, so it takes a channel only with a strictly larger report, as
+    argmax's lowest-index rule gives it.  A NaN report breaks that rule
+    (argmax takes the first NaN), so such a BS, and one without channels,
+    is left to `ev.cell`."""
+    chans = ev.net.channels_of_bs[w]
+    sub = ev.reports[:, chans]
+    if not len(chans) or np.isnan(sub).any():
+        return
+    low = sub.shape[0] // 2
+    low_beta, low_best = _mask_winners(sub[:low])
+    high_beta, high_best = _mask_winners(sub[low:])
+    high_beta += low
+    for start in range(1, len(sets), CHUNK):
+        rows = [m for m in range(start, min(start + CHUNK, len(sets)))
+                if (w, sets[m]) not in ev._cache]
+        if not rows:
+            continue
+        masks = np.array(rows)
+        lo, hi = masks & ((1 << low) - 1), masks >> low
+        # the upper users' winner takes a channel on a strictly larger
+        # report, or whenever the cell has no lower user
+        win = (high_best[hi] > low_best[lo]) | (lo == 0)[:, None]
+        win &= (hi > 0)[:, None]
+        beta = np.where(win, high_beta[hi], low_beta[lo])
+        best = np.where(win, high_best[hi], low_best[lo])
+        for m, alloc in zip(rows, solve_cells(ev.net, w, beta, best,
+                                              ev.mode.strategy)):
+            ev._enter(w, sets[m], alloc)
+
+
+def _mask_winners(sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per bitmask m of the rows of `sub`, the lowest-index argmax row and
+    its value per column (row 0, the empty mask, is zero), by a DP over
+    masks: m is m' plus its top bit i, and row i, above every row of m',
+    wins a column only with a strictly larger value."""
+    size = 1 << sub.shape[0]
+    beta = np.zeros((size, sub.shape[1]), dtype=int)
+    best = np.zeros((size, sub.shape[1]))
+    for i, row in enumerate(sub):
+        lo, hi = 1 << i, 2 << i
+        beta[lo], best[lo] = i, row
+        win = row > best[1:lo]
+        beta[lo + 1:hi] = np.where(win, i, beta[1:lo])
+        best[lo + 1:hi] = np.where(win, row, best[1:lo])
+    return beta, best
 
 
 def _dominated(values: np.ndarray, scale: float, n: int,

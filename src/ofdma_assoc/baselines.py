@@ -2,7 +2,6 @@
 optimum, steepest-ascent local search, and the multiple-connectivity upper
 bound."""
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -11,7 +10,7 @@ import numpy as np
 from .assoc_game import STRICT_TOL, Evaluator, GameMode, _eval, mask_members
 from .mechanism import nearest_bs_profile
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import CAPA
+from .per_bs_alloc import CAPA, cells_of
 
 SEARCH_CAP = 10 ** 7
 
@@ -53,19 +52,37 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                    evaluator: Optional[Evaluator] = None,
                    cap: int = SEARCH_CAP) -> BaselineResult:
     """Global optimum over the pruned profile space, by depth-first branch
-    and bound (Land & Doig 1960).  `evaluations` counts the leaves reached,
-    each of which raises the incumbent.
+    and bound (Land & Doig 1960).  `evaluations` counts the leaves reached
+    above the warm start, each of which raises the incumbent.
 
-    The bound rests on cell throughput being subadditive in the user set,
-    V_w(S | T) <= V_w(S) + V_w(T): the union's powers are feasible for S and
-    for T, and log(1+max(x,y)) <= log(1+x) + log(1+y) for x, y >= 0.  So
-    users i..N-1 add at most the sum of their best singleton values, and
-    user i adds at most V_w({i}) to cell w.  A child (i, w) whose value,
-    with that singleton bound, cannot beat the incumbent by more than a
-    1e-9 relative slack is skipped before its cell is looked up; every such
-    child would fail the child's own entry check (value + bound <= best +
-    1e-15), so the search visits the same nodes.  Cell values are kept per
-    BS by member bitmask; `ev.cell` solves only the cells not yet seen."""
+    Warm start: the incumbent starts, with no profile, at g - 1e-9·(1+|g|),
+    g being `greedy0`'s value on the same Evaluator.  greedy0's profile is
+    feasible; a user on a BS where all its reports are zero changes nothing
+    there, and cells are monotone in their user set, so moving it to a
+    candidate BS loses nothing.  So the optimum over candidate BSs is at
+    least g, the slack absorbs rounding, and the optimum leaf still beats
+    the incumbent and is recorded.
+
+    A child (i, w) is skipped before its cell is looked up when either of
+    two bounds on the leaves below it is at or below `cut`, a further 1e-9
+    relative below the incumbent, so that rounding in a bound cannot skip
+    a leaf the entry check would keep:
+    - subadditivity, V_w(S | T) <= V_w(S) + V_w(T) (the union's powers are
+      feasible for S and for T, and log(1+max(x,y)) <= log(1+x) +
+      log(1+y)): users i+1..N-1 add at most the sum of their best singleton
+      values, and user i adds at most V_w({i}) to cell w;
+    - monotonicity (criterion 07): with R_w the users after i that may pick
+      w, A_w = V_w(S_w | R_w) - V_w(S_w), and B_w the same with user i in
+      R_w, the child's leaves are worth at most value + sum(A) - A_w + B_w.
+      A_w <= B_w, so the parent's union cells (its B) stand in for A where
+      one or two users are left after i: those unions are all but leaf
+      cells, and solving them costs more than they prune.
+    Every leaf under a skipped child is therefore at or below the
+    incumbent, so the search reaches the same leaves, in the same order, as
+    one from the same warm start that looked up every child and ran only
+    the entry check (value + singleton bound <= incumbent + 1e-15).  Cell values, the unions
+    included, are kept per BS by member bitmask; `ev.cell` solves only the
+    cells not yet seen."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
     reports = ev.reports
     if np.isnan(reports).any() or (reports < 0).any():
@@ -78,7 +95,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
             raise SearchSpaceTooLargeError(
                 f"pruned profile space exceeds cap {cap}")
 
-    n = net.num_users
+    n, num_bss = net.num_users, net.num_bss
     if n == 0:
         return BaselineResult(profile=(), throughput=0.0, evaluations=1)
     singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
@@ -87,29 +104,51 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     suffix_bound = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
+    # reach[i][w]: bitmask of the users i..N-1 that may pick w
+    reach = [[0] * num_bss for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        reach[i] = list(reach[i + 1])
+        for w in cands[i]:
+            reach[i][w] |= 1 << i
     # per BS: cell value by member bitmask, and the current cell
-    values = [{} for _ in range(net.num_bss)]
-    masks = [0] * net.num_bss
-    current = [0.0] * net.num_bss
+    values = [{} for _ in range(num_bss)]
+    masks = [0] * num_bss
+    current = [0.0] * num_bss
 
-    best_value = cut = -math.inf
+    def value_of(w: int, mask: int) -> float:
+        cell = values[w].get(mask)
+        if cell is None:
+            cell = values[w][mask] = ev.cell(w, mask_members(mask)).value
+        return cell
+
+    def unions(i: int) -> List[float]:
+        """Per BS w, V_w(S_w | the users i..N-1 that may pick w)."""
+        return [value_of(w, masks[w] | r) if r else current[w]
+                for w, r in enumerate(reach[i])]
+
+    g = greedy0(net, strategy, ev).throughput
+    best_value = g - 1e-9 * (1.0 + abs(g))
+    cut = best_value - 1e-9 * (1.0 + abs(best_value))
     best_profile: Optional[Tuple[int, ...]] = None
     profile = [0] * n
     evals = 0
 
-    def dfs(i: int, value: float):
+    def dfs(i: int, value: float, upper: List[float]):
         """Visit the children of a node at depth i that passed its entry
-        check."""
+        check; upper[w] bounds V_w(S_w | R_w) with user i in R_w."""
         nonlocal best_value, best_profile, cut, evals
         rest = suffix_bound[i + 1]
         bit = 1 << i
+        # with one or two users left after i, their unions are all but
+        # leaf cells: keep B
+        after = upper if i + 1 < n <= i + 3 else unions(i + 1)
+        gains = value + (sum(after) - sum(current))
         for w, single in singleton[i].items():
-            if value + single + rest <= cut:
+            if (value + single + rest <= cut
+                    or gains + (upper[w] - after[w]) <= cut):
                 continue
             new = masks[w] | bit
-            cell = values[w].get(new)
-            if cell is None:
-                cell = values[w][new] = ev.cell(w, mask_members(new)).value
+            cell = value_of(w, new)
             child = value + (cell - current[w])
             if child + rest <= best_value + 1e-15:
                 continue
@@ -123,10 +162,12 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                 continue
             old, held = masks[w], current[w]
             masks[w], current[w] = new, cell
-            dfs(i + 1, child)
+            below = list(after)
+            below[w] = upper[w]
+            dfs(i + 1, child, below)
             masks[w], current[w] = old, held
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, unions(0))
     return BaselineResult(profile=best_profile, throughput=best_value,
                           evaluations=evals)
 
@@ -135,27 +176,32 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
             evaluator: Optional[Evaluator] = None,
             start: Optional[Sequence[int]] = None) -> BaselineResult:
     """Steepest single-user-move ascent on the system objective, starting
-    from the nearest-BS profile."""
+    from the nearest-BS profile.  A move changes two cells: it is valued by
+    replacing their values in the list of W cell values and summing it in
+    BS order, as `Evaluator.system_value` sums."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
     a = [int(w) for w in (nearest_bs_profile(net) if start is None else start)]
-    value = ev.system_value(a)
     evals = 1
     while True:
+        sets = cells_of(net, a)
+        cells = [ev.cell(w, s).value for w, s in enumerate(sets)]
+        value = sum(cells)
         best_move, best_gain = None, STRICT_TOL
-        for i in range(net.num_users):
-            for w in range(net.num_bss):
-                if w == a[i]:
+        for i, here in enumerate(a):
+            left = ev.cell(here, sets[here] - {i}).value
+            for w, members in enumerate(sets):
+                if w == here:
                     continue
-                cand = list(a)
-                cand[i] = w
+                cand = list(cells)
+                cand[here] = left
+                cand[w] = ev.cell(w, members | {i}).value
                 evals += 1
-                gain = ev.system_value(cand) - value
+                gain = sum(cand) - value
                 if gain > best_gain:
                     best_move, best_gain = (i, w), gain
         if best_move is None:
             break
         a[best_move[0]] = best_move[1]
-        value = ev.system_value(a)
     return BaselineResult(profile=tuple(a), throughput=value, evaluations=evals)
 
 

@@ -9,7 +9,7 @@ nats/s unless a bandwidth rescaling says otherwise.
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -189,6 +189,8 @@ class ScenarioConfig:
     multipath_profile: str = "peda"
 
     def __post_init__(self):
+        if self.mode not in ("indoor", "outdoor"):
+            raise InvalidArgumentError(f"unknown scenario mode {self.mode!r}")
         if not 0.0 <= self.distribution_factor <= 1.0:
             raise InvalidArgumentError("distribution factor must be in [0, 1]")
         if not 0.0 < self.ber < 1.0:
@@ -197,8 +199,16 @@ class ScenarioConfig:
             raise InvalidArgumentError("the only multipath profile is 'peda'")
 
     @classmethod
+    def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """The config of the fields in `d`; an unknown key is an error."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidArgumentError(f"unknown scenario keys {unknown}")
+        return cls(**d)
+
+    @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls(**json.loads(text))
+        return cls.from_dict(json.loads(text))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -346,11 +356,7 @@ def gen_outdoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstanc
 def generate(cfg: ScenarioConfig, rng: Optional[np.random.Generator] = None) -> NetworkInstance:
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    if cfg.mode == "indoor":
-        return gen_indoor(cfg, rng)
-    if cfg.mode == "outdoor":
-        return gen_outdoor(cfg, rng)
-    raise InvalidArgumentError(f"unknown scenario mode {cfg.mode!r}")
+    return (gen_indoor if cfg.mode == "indoor" else gen_outdoor)(cfg, rng)
 
 
 def inject_estimation_error(net: NetworkInstance, cer_db: float,

@@ -178,6 +178,60 @@ def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
                       water_level=lam, held=held, bound=rule.bound)
 
 
+def solve_cells(net: NetworkInstance, w: int, beta: np.ndarray,
+                best: np.ndarray, strategy: str) -> List[Allocation]:
+    """`solve_cell` for C non-empty cells of BS w at once, each given by its
+    per-channel winners `beta` and their reports `best` ((C, K_w) arrays,
+    as `_best_user_per_channel` returns them; no NaN).  Every field of each
+    Allocation is bit-identical to `solve_cell`'s: under CAPA the rows are
+    sorted stably, `cumsum` adds in sequence as `_active_set` does, the
+    active set is the first k whose level lam_k = (budget + csum_k) / k does
+    not cover the next inverse gain, and each row's powers are summed and
+    renormalized on their own, as `water_fill` does."""
+    if strategy not in STRATEGIES:
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    chans = net.channels_of_bs[w]
+    cells = [(b.copy(), r.copy()) for b, r in zip(beta, best)]
+    if strategy == CA:
+        power = np.full(len(chans), net.budget[w] / len(chans))
+        return [Allocation(bs=w, channels=chans, beta=b, power=power.copy(),
+                           best=r, held=b) for b, r in cells]
+    budget = float(net.budget[w])
+    with np.errstate(divide="ignore"):
+        inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
+    order = inv.argsort(axis=1, kind="stable")
+    inv_sorted = np.take_along_axis(inv, order, axis=1)
+    finite = np.isfinite(inv_sorted).sum(axis=1)
+    k = np.arange(1, inv.shape[1] + 1)
+    lam = (budget + np.cumsum(inv_sorted, axis=1)) / k
+    stop = np.ones(inv.shape, dtype=bool)     # the rule stops at k channels
+    stop[:, :-1] = ~(lam[:, :-1] > inv_sorted[:, 1:])
+    active = stop.argmax(axis=1) + 1
+    rows = np.arange(len(inv))
+    level = lam[rows, active - 1]
+    past = inv_sorted[rows, np.minimum(active, inv.shape[1] - 1)]
+    last = inv_sorted[rows, active - 1]
+    with np.errstate(invalid="ignore"):       # inf - inf: no finite entry
+        power = np.maximum(level[:, None] - inv, 0.0)
+    out = []
+    for (b, r), o, p, n_fin, n_act, lv, nxt, top in zip(
+            cells, order, power, finite.tolist(), active.tolist(),
+            level.tolist(), past.tolist(), last.tolist()):
+        if n_fin == 0:
+            out.append(Allocation(bs=w, channels=chans, beta=b,
+                                  power=np.zeros(len(chans)), best=r,
+                                  held=b[o[:0]]))
+            continue
+        p = p.copy()
+        s = p.sum()
+        if s > 0:
+            p *= budget / s
+        out.append(Allocation(bs=w, channels=chans, beta=b, power=p, best=r,
+                              water_level=lv, held=b[o[:n_act]],
+                              bound=nxt if n_act < n_fin else max(lv, top)))
+    return out
+
+
 def _rates(net: NetworkInstance, w: int, beta: List[int], powers: List[float],
            gains: List[float]) -> Dict[int, float]:
     """Per-user rates in cell w from the per-channel users, powers and

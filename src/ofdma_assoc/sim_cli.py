@@ -61,7 +61,7 @@ class Campaign:
     @classmethod
     def from_json(cls, text: str) -> "Campaign":
         d = json.loads(text)
-        d["scenario"] = ScenarioConfig(**d["scenario"])
+        d["scenario"] = ScenarioConfig.from_dict(d["scenario"])
         d["cer_values"] = tuple(math.inf if c == "inf" else float(c)
                                 for c in d["cer_values"])
         for key in ("algorithms", "d_values", "cost_values"):

@@ -124,6 +124,14 @@ class TestCampaign:
         back = Campaign.from_json(c.to_json())
         assert back == c
 
+    @pytest.mark.parametrize("key, value", [("fading", "rayleigh"),
+                                            ("mode", "explicit")])
+    def test_bad_scenario_rejected_when_read(self, key, value):
+        payload = json.loads(small_campaign().to_json())
+        payload["scenario"][key] = value
+        with pytest.raises(InvalidArgumentError, match=key):
+            Campaign.from_json(json.dumps(payload))
+
 
 class TestReplay:
     def test_replay_reproduces_bytes(self, tmp_path):

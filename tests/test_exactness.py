@@ -24,7 +24,8 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
                                       _rates_from_alloc, cells_of, contenders,
-                                      reported_rates, solve_cell, water_fill)
+                                      reported_rates, solve_cell, solve_cells,
+                                      water_fill)
 
 # -- reference kernel: the plain NumPy bodies the lean kernel replaced ------
 
@@ -458,7 +459,8 @@ def test_better_replies_match_per_query_reference(strategy, taxed):
 
 def ref_exhaustive_opt(net, strategy, ev):
     """The search body that looked up both cells of every child and ran
-    each child's entry check on entry."""
+    each child's entry check on entry, from the same warm start: an
+    incumbent just below greedy0's value."""
     cands = baselines.candidate_bss(net)
     n = net.num_users
     singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
@@ -466,7 +468,8 @@ def ref_exhaustive_opt(net, strategy, ev):
     suffix_bound = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
-    best_value, best_profile, evals = -math.inf, None, 0
+    g = baselines.greedy0(net, strategy, ev).throughput
+    best_value, best_profile, evals = g - 1e-9 * (1.0 + abs(g)), None, 0
     profile = [0] * n
     cells = [frozenset() for _ in range(net.num_bss)]
 
@@ -577,6 +580,116 @@ def test_cell_value_is_subadditive(cell, data):
         assert union <= (ev.cell(0, s).value + ev.cell(0, t).value) * (1 + 1e-9)
 
 
+@st.composite
+def oracle_nets(draw):
+    """A network of 1-5 users and 1-3 BSs of 1-3 channels each, reports
+    drawn from GAIN (ties and zeros), some all-zero report rows, and some
+    BSs of weight 0."""
+    n = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    k = sum(blocks)
+    gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        gain[i] = 0.0
+    edges = np.cumsum([0] + blocks)
+    w_cnt = len(blocks)
+    return NetworkInstance(
+        gain=gain, noise=np.ones((n, k)),
+        channels_of_bs=[np.arange(a, b) for a, b in zip(edges, edges[1:])],
+        budget=draw(st.lists(st.floats(0.1, 10.0), min_size=w_cnt,
+                             max_size=w_cnt)),
+        weight=draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=w_cnt,
+                             max_size=w_cnt)),
+        bandwidth=[draw(st.sampled_from([1.0, 180e3]))] * w_cnt,
+        tau=draw(st.sampled_from([1.0, 1.5, 4.0])))
+
+
+def brute_force_opt(net, ev):
+    """The unpruned search: every profile over the candidate BSs, in the
+    search's order, valued by the same chain of cell differences, the first
+    one beating the best so far by more than 1e-15 kept."""
+    best_profile, best_value = None, -math.inf
+    for a in itertools.product(*baselines.candidate_bss(net)):
+        value, cells = 0.0, [frozenset() for _ in range(net.num_bss)]
+        for i, w in enumerate(a):
+            new = cells[w] | {i}
+            value = value + (ev.cell(w, new).value - ev.cell(w, cells[w]).value)
+            cells[w] = new
+        if value > best_value + 1e-15:
+            best_profile, best_value = a, value
+    return best_profile, best_value
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_nets())
+def test_exhaustive_prunes_no_optimal_branch(net):
+    """The warm start and both bounds skip no branch holding the optimum:
+    the search returns the unpruned search's profile and throughput, and
+    no profile over all BSs, non-candidates included, does better."""
+    for strategy in STRATEGIES:
+        ev = Evaluator(net, GameMode(strategy=strategy))
+        got = baselines.exhaustive_opt(net, strategy, ev)
+        assert repr((got.profile, got.throughput)) == repr(brute_force_opt(net, ev))
+        top = max(ev.system_value(a) for a in
+                  itertools.product(range(net.num_bss), repeat=net.num_users))
+        assert top <= got.throughput + 1e-12 * (1.0 + abs(top))
+
+
+@st.composite
+def mask_tables(draw):
+    """A network of 1-8 users and 1-2 BSs of 1-16 channels each, with
+    reports drawn from GAIN, so ties and zero reports are common."""
+    n = draw(st.integers(1, 8))
+    blocks = draw(st.lists(st.integers(1, 16), min_size=1, max_size=2))
+    k = sum(blocks)
+    gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)))
+    edges = np.cumsum([0] + blocks)
+    return NetworkInstance(
+        gain=gain, noise=np.ones((n, k)),
+        channels_of_bs=[np.arange(a, b) for a, b in zip(edges, edges[1:])],
+        budget=draw(st.lists(st.floats(0.1, 10.0), min_size=len(blocks),
+                             max_size=len(blocks))),
+        weight=[1.0] * len(blocks), bandwidth=[180e3] * len(blocks),
+        tau=draw(st.sampled_from([1.0, 1.5, 4.0])))
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask_tables())
+def test_batched_table_matches_scalar_solves(net):
+    """Every cell the enumeration table enters is the result `ev.cell`'s
+    scalar miss builds, bit for bit, and every field of `solve_cells`'
+    allocations is `solve_cell`'s."""
+    reports = net.normalized_gain()
+    sets = [assoc_game.mask_members(m) for m in range(1 << net.num_users)]
+    fields = ("bs", "channels", "beta", "power", "best", "water_level",
+              "held", "bound")
+    for strategy in STRATEGIES:
+        table = Evaluator(net, GameMode(strategy=strategy))
+        scalar = Evaluator(net, GameMode(strategy=strategy))
+        for w, chans in enumerate(net.channels_of_bs):
+            assoc_game._solve_masks(table, w, sets)
+            for s in sets[1:]:
+                got, want = table._cache[(w, s)], scalar.cell(w, s)
+                assert repr((got.value, got.rates)) == repr((want.value, want.rates))
+                assert all(map(_same, got.solve, want.solve))
+            winners = [_best_user_per_channel(reports, sorted(s), chans)
+                       for s in sets[1:]]
+            batch = solve_cells(net, w, np.array([b for b, _ in winners]),
+                                np.array([r for _, r in winners]), strategy)
+            for s, got in zip(sets[1:], batch):
+                want = solve_cell(net, w, s, reports, strategy)
+                assert all(_same(getattr(got, f), getattr(want, f))
+                           for f in fields)
+
+
 class _CountingSolves:
     def __init__(self, monkeypatch):
         self.solves = 0
@@ -596,6 +709,21 @@ def test_exhaustive_solves_fewer_cells(monkeypatch):
     got = baselines.exhaustive_opt(net, CAPA, Evaluator(net, GameMode()))
     assert repr(got) == repr(ref)
     assert counts.solves < before
+
+
+def test_enumeration_solves_cells_in_batches(monkeypatch):
+    """The table's cells come from batched solves, not one `solve_cell`
+    each; a BS with a NaN report keeps the per-cell path for its 2^6 - 1
+    non-empty cells."""
+    net = _generated(6, 3, 24, 1, 43)[0]
+    counts = _CountingSolves(monkeypatch)
+    assoc_game.enumerate_nes(net, GameMode())
+    assert counts.solves == 0
+    reports = net.normalized_gain().copy()
+    reports[2, net.channels_of_bs[1][0]] = math.nan
+    with np.errstate(invalid="ignore"):
+        assoc_game.enumerate_nes(net, GameMode(), Evaluator(net, GameMode(), reports))
+    assert counts.solves == 2 ** 6 - 1
 
 
 def test_enumeration_screens_is_ne_calls(monkeypatch):

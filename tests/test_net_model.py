@@ -106,6 +106,17 @@ class TestScenarioConfig:
         with pytest.raises(InvalidArgumentError):
             ScenarioConfig(mode="outdoor", multipath_profile="veha")
 
+    @pytest.mark.parametrize("text", ['{"mode": "explicit"}', '{"mode": "Indoor"}'])
+    def test_unknown_mode_rejected_when_read(self, text):
+        """A bad mode fails when the config is read, not at its first
+        `generate`."""
+        with pytest.raises(InvalidArgumentError, match="mode"):
+            ScenarioConfig.from_json(text)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="fading"):
+            ScenarioConfig.from_json('{"num_users": 3, "fading": "rayleigh"}')
+
 
 class TestIndoorScenario:
     def test_determinism(self):
