@@ -74,9 +74,10 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     - monotonicity (criterion 07): with R_w the users after i that may pick
       w, A_w = V_w(S_w | R_w) - V_w(S_w), and B_w the same with user i in
       R_w, the child's leaves are worth at most value + sum(A) - A_w + B_w.
-      A_w <= B_w, so the parent's union cells (its B) stand in for A where
-      one or two users are left after i: those unions are all but leaf
-      cells, and solving them costs more than they prune.
+      Where one or two users are left after i, those unions are all but
+      leaf cells and solving them costs more than they prune, so A_w is
+      bounded instead by min(B_w, the sum of their singleton values at w),
+      by monotonicity and subadditivity.
     Every leaf under a skipped child is therefore at or below the
     incumbent, so the search reaches the same leaves, in the same order, as
     one from the same warm start that looked up every child and ran only
@@ -104,12 +105,15 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     suffix_bound = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_bound[i] = suffix_bound[i + 1] + max(singleton[i].values())
-    # reach[i][w]: bitmask of the users i..N-1 that may pick w
+    # per depth i and BS w: the users i..N-1 that may pick w, as a bitmask
+    # (reach), and the sum of their singleton values at w (spread)
     reach = [[0] * num_bss for _ in range(n + 1)]
+    spread = [[0.0] * num_bss for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        reach[i] = list(reach[i + 1])
-        for w in cands[i]:
+        reach[i], spread[i] = list(reach[i + 1]), list(spread[i + 1])
+        for w, single in singleton[i].items():
             reach[i][w] |= 1 << i
+            spread[i][w] += single
     # per BS: cell value by member bitmask, and the current cell
     values = [{} for _ in range(num_bss)]
     masks = [0] * num_bss
@@ -139,9 +143,13 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
         nonlocal best_value, best_profile, cut, evals
         rest = suffix_bound[i + 1]
         bit = 1 << i
-        # with one or two users left after i, their unions are all but
-        # leaf cells: keep B
-        after = upper if i + 1 < n <= i + 3 else unions(i + 1)
+        if i + 1 < n <= i + 3:
+            # one or two users left after i: their unions are all but leaf
+            # cells, so A_w is bounded by B_w and by their singletons instead
+            after = [c + min(u - c, s)
+                     for c, u, s in zip(current, upper, spread[i + 1])]
+        else:
+            after = unions(i + 1)
         gains = value + (sum(after) - sum(current))
         for w, single in singleton[i].items():
             if (value + single + rest <= cut

@@ -13,7 +13,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ofdma_assoc import assoc_game, baselines
 from ofdma_assoc.assoc_game import Evaluator, GameMode
@@ -621,18 +621,39 @@ def brute_force_opt(net, ev):
     return best_profile, best_value
 
 
+# users 1 and 2 report alike: profiles (2, 0, 2, 0) and (2, 2, 0, 0) tie,
+# and their chains of differences round one ulp apart under CA
+_TIED = NetworkInstance(
+    gain=[[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 3.0, 0.0, 0.0, 1.0],
+          [0.0, 3.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.0, 0.0]],
+    noise=np.ones((4, 5)), channels_of_bs=[[0, 1], [2], [3, 4]],
+    budget=[4.0, 1.0, 2.0], weight=[1.0, 0.0, 2.5], bandwidth=[180e3] * 3,
+    tau=1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_nets())
+@example(_TIED)
 def test_exhaustive_prunes_no_optimal_branch(net):
-    """The warm start and both bounds skip no branch holding the optimum:
-    the search returns the unpruned search's profile and throughput, and
-    no profile over all BSs, non-candidates included, does better."""
+    """The warm start and both bounds skip nothing the entry check keeps:
+    the search returns, bit for bit, what the search from the same start
+    that looks up every child returns.  And no branch holding the optimum
+    is pruned: the unpruned search over the candidate BSs finds the same
+    throughput up to rounding, and no profile over all BSs, non-candidates
+    included, does better.  The profiles may differ on a tie: the entry
+    check's 1e-15 slack is below one ulp of a value near 1e6, so a tied
+    leaf whose chain of differences rounds one ulp higher than the
+    incumbent can be skipped, as the search always did."""
     for strategy in STRATEGIES:
-        ev = Evaluator(net, GameMode(strategy=strategy))
+        mode = GameMode(strategy=strategy)
+        ev = Evaluator(net, mode)
         got = baselines.exhaustive_opt(net, strategy, ev)
-        assert repr((got.profile, got.throughput)) == repr(brute_force_opt(net, ev))
+        assert repr(got) == repr(ref_exhaustive_opt(net, strategy,
+                                                    Evaluator(net, mode)))
+        _, unpruned = brute_force_opt(net, ev)
         top = max(ev.system_value(a) for a in
                   itertools.product(range(net.num_bss), repeat=net.num_users))
+        assert abs(got.throughput - unpruned) <= 1e-12 * (1.0 + abs(unpruned))
         assert top <= got.throughput + 1e-12 * (1.0 + abs(top))
 
 
