@@ -127,8 +127,12 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
 
     def unions(i: int) -> List[float]:
         """Per BS w, V_w(S_w | the users i..N-1 that may pick w)."""
-        return [value_of(w, masks[w] | r) if r else current[w]
-                for w, r in enumerate(reach[i])]
+        out = list(current)
+        for w, r in enumerate(reach[i]):
+            if r:
+                cell = values[w].get(masks[w] | r)
+                out[w] = value_of(w, masks[w] | r) if cell is None else cell
+        return out
 
     g = greedy0(net, strategy, ev).throughput
     best_value = g - 1e-9 * (1.0 + abs(g))
@@ -150,13 +154,16 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                      for c, u, s in zip(current, upper, spread[i + 1])]
         else:
             after = unions(i + 1)
-        gains = value + (sum(after) - sum(current))
+        # value + sum(A), as value is sum(current) but for rounding
+        gains = sum(after)
         for w, single in singleton[i].items():
             if (value + single + rest <= cut
                     or gains + (upper[w] - after[w]) <= cut):
                 continue
             new = masks[w] | bit
-            cell = value_of(w, new)
+            cell = values[w].get(new)
+            if cell is None:
+                cell = value_of(w, new)
             child = value + (cell - current[w])
             if child + rest <= best_value + 1e-15:
                 continue
