@@ -81,9 +81,9 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     Every leaf under a skipped child is therefore at or below the
     incumbent, so the search reaches the same leaves, in the same order, as
     one from the same warm start that looked up every child and ran only
-    the entry check (value + singleton bound <= incumbent + 1e-15).  Cell values, the unions
-    included, are kept per BS by member bitmask; `ev.cell` solves only the
-    cells not yet seen."""
+    the entry check (value + singleton bound <= incumbent + 1e-15).  Cell
+    values, the unions included, are kept per BS by member bitmask;
+    `ev.cell` solves only the cells not yet seen."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
     reports = ev.reports
     if np.isnan(reports).any() or (reports < 0).any():
