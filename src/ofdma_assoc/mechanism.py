@@ -28,8 +28,44 @@ class TraceRecord:
     event: Optional[str] = None
 
 
+class _RoundMemo:
+    """Per profile visited under one `Evaluator` and one margins list: the
+    trace values `(bs_throughput, throughput)` and the better replies, each
+    filled on first use.  Both depend on nothing else: an Evaluator's
+    reports are fixed when it is built, and a cached cell never changes."""
+
+    __slots__ = ("ev", "margins", "entries")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.ev: Optional[Evaluator] = None
+        self.margins: List[float] = []
+        self.entries: Dict[Tuple[int, ...], List] = {}
+
+    def entry(self, ev: Evaluator, costs: np.ndarray,
+              profile: Tuple[int, ...]) -> List:
+        """The `[values, replies]` slot of `profile`, after dropping every
+        entry if `ev` is not the memo's Evaluator object or `costs` are not
+        its margins."""
+        margins = costs.tolist()
+        if ev is not self.ev or margins != self.margins:
+            self.clear()
+            self.ev, self.margins = ev, margins
+        slot = self.entries.get(profile)
+        if slot is None:
+            slot = self.entries[profile] = [None, None]
+        return slot
+
+
 @dataclass
 class MechanismState:
+    """A DBSA run in progress.  `_memo` holds each visited profile's trace
+    values and better replies under the last Evaluator that `step` or
+    `_record` saw and the costs at the time; it is dropped when either
+    changes, and by `apply_event`, so it never changes a result.  It grows
+    by at most one profile per round, as the trace does."""
     profile: Tuple[int, ...]
     memories: List[Deque[int]]
     costs: np.ndarray
@@ -38,6 +74,8 @@ class MechanismState:
     iteration: int = 0
     trace: List[TraceRecord] = field(default_factory=list)
     stable: int = 0               # rounds since the profile last changed
+    _memo: _RoundMemo = field(default_factory=_RoundMemo, init=False,
+                              repr=False, compare=False)
 
 
 # -- events ------------------------------------------------------------------
@@ -97,11 +135,15 @@ def init_state(net: NetworkInstance, memory_len: int,
 
 
 def _record(state: MechanismState, ev: Evaluator) -> None:
-    per_bs = tuple(ev.cell(w, s).value
-                   for w, s in enumerate(cells_of(ev.net, state.profile)))
+    slot = state._memo.entry(ev, state.costs, state.profile)
+    if slot[0] is None:
+        per_bs = tuple(ev.cell(w, s).value
+                       for w, s in enumerate(cells_of(ev.net, state.profile)))
+        slot[0] = (per_bs, float(sum(per_bs)))
+    per_bs, total = slot[0]
     state.trace.append(TraceRecord(
         iteration=state.iteration, profile=state.profile,
-        throughput=float(sum(per_bs)), bs_throughput=per_bs))
+        throughput=total, bs_throughput=per_bs))
 
 
 def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
@@ -113,10 +155,19 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     The round's draws come from one `rng.integers` call, in user order:
     a better reply (only for a user that has one), then a memory slot.
     An array of bounds draws the same values, and leaves the generator in
-    the same state, as one scalar call per bound."""
+    the same state, as one scalar call per bound.
+
+    The better replies of a profile are asked of `better_reply_set` once
+    per `Evaluator` object and costs: `state` keeps them until `step` sees
+    another Evaluator (a new one each call when `evaluator` is None) or
+    other `state.costs`, and they depend on nothing else."""
     ev = _eval(net, mode, evaluator)
     a = state.profile
-    replies = better_reply_set(net, a, mode, ev, state.costs.tolist())
+    slot = state._memo.entry(ev, state.costs, a)
+    replies = slot[1]
+    if replies is None:
+        replies = slot[1] = tuple(map(tuple, better_reply_set(
+            net, a, mode, ev, state._memo.margins)))
     highs: List[int] = []
     for br, mem in zip(replies, state.memories):
         if br:
@@ -155,7 +206,12 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     reports give the same noise).  A shared `evaluator` supplies the
     reports and its cache; like every entry that takes one, `run` refuses
     one of another instance or mode (see `assoc_game._eval`).  Interference
-    mode changes the instance, so takes none."""
+    mode changes the instance, so takes none.
+
+    Each round is one `step` and one `_record`; a profile the run visits
+    again under the same `Evaluator` reuses its better replies and trace
+    values (see `step`), and each new Evaluator of the interference refresh
+    starts them afresh."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
     if interference:
@@ -249,6 +305,7 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     else:
         raise InvalidArgumentError(f"unknown event {event!r}")
     state.stable = 0
+    state._memo.clear()
     if state.trace:
         state.trace[-1].event = label
     return new_net

@@ -8,12 +8,13 @@ The bench sources are read and executed, never imported, so nothing is
 written under `bench/`.
 """
 
+import collections
 import importlib
 import pathlib
 
 import pytest
 
-from ofdma_assoc import assoc_game
+from ofdma_assoc import assoc_game, mechanism, net_model
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,3 +48,27 @@ def test_binding_resolves(binding):
         target = getattr(importlib.import_module(f"ofdma_assoc.{module}"), fn)
         bound = importlib.import_module(f"ofdma_assoc.{binder}")
         assert getattr(bound, fn, None) is target
+
+
+@pytest.mark.parametrize("name", ["dbsa_indoor", "dbsa_interference"])
+def test_run_calls_its_mechanism_bindings(name, monkeypatch):
+    """`mechanism.run`, at the workload's sizes, calls every name that the
+    workload requires of `ofdma_assoc.mechanism`, and `step` once per round,
+    so that no saving inside the run leaves a required binding idle."""
+    wl = WORKLOADS[name]
+    required = {b.partition("@")[0].rpartition(".")[2]
+                for b in wl.traced_bindings if b.endswith("@mechanism")}
+    assert {"run", "step", "better_reply_set"} <= required
+    calls = collections.Counter()
+    for fn in required:
+        def counted(*args, _fn=fn, _target=getattr(mechanism, fn), **kwargs):
+            calls[_fn] += 1
+            return _target(*args, **kwargs)
+
+        monkeypatch.setattr(mechanism, fn, counted)
+    net = net_model.generate(net_model.ScenarioConfig(
+        num_users=wl.N, num_bss=wl.W, num_channels=wl.K, seed=3))
+    res = mechanism.run(net, wl.sizes["memory"], 0.0, wl.MAX_ITER, seed=1,
+                        interference=wl.sizes.get("interference", False))
+    assert calls["step"] == res.iterations
+    assert all(calls[fn] >= 1 for fn in required)

@@ -1,16 +1,19 @@
+import copy
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import random_network
 from ofdma_assoc import assoc_game, fixtures, mechanism
 from ofdma_assoc.assoc_game import Evaluator, GameMode, is_ne
 from ofdma_assoc.baselines import exhaustive_opt, greedy0, nearest_bs
 from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
-                                   RunResult, apply_event, init_state,
-                                   nearest_bs_profile, run, step,
+                                   RunResult, TraceRecord, apply_event,
+                                   init_state, nearest_bs_profile, run, step,
                                    update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig, generate)
@@ -601,3 +604,161 @@ class TestInterferenceFixedPoints:
         assert res.converged and res.iterations == 3
         assert (counts.evaluators, counts.refreshes, counts.solves) == (1, 1, 2)
         assert res == reference_interference_run(net, 3, 0.0, 30, 1, GameMode())
+
+
+def fresh_evaluator_run(net, memory_len, costs, max_iter, seed, mode):
+    """`run` as a hand loop that builds a fresh Evaluator for every step and
+    every trace record, so no round can reuse an earlier round's answers."""
+    state = init_state(net, memory_len, costs, seed)
+    trace = []
+
+    def record():
+        ev = Evaluator(net, mode)
+        per_bs = tuple(ev.cell(w, s).value
+                       for w, s in enumerate(cells_of(net, state.profile)))
+        trace.append(TraceRecord(state.iteration, state.profile,
+                                 float(sum(per_bs)), per_bs))
+
+    record()
+    while state.iteration < max_iter and state.stable < memory_len:
+        step(net, state, mode, Evaluator(net, mode))
+        record()
+    converged = state.stable >= memory_len
+    return RunResult(profile=state.profile, trace=trace, converged=converged,
+                     iterations=state.iteration,
+                     is_ne=is_ne(net, state.profile, mode) if converged else None)
+
+
+def _count_better_replies(monkeypatch):
+    calls = []
+
+    def counting(net, a, *args, **kwargs):
+        calls.append(a)
+        return assoc_game.better_reply_set(net, a, *args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "better_reply_set", counting)
+    return calls
+
+
+class TestRoundMemo:
+    @pytest.mark.parametrize("taxed", [True, False])
+    @pytest.mark.parametrize("strategy", [CA, CAPA])
+    def test_run_equals_fresh_evaluator_loop(self, strategy, taxed):
+        """The same result, every trace record included, as a loop that
+        can never reuse a round, with zero and nonzero switching costs."""
+        rng = np.random.default_rng(31)
+        mode = GameMode(strategy=strategy, taxed=taxed)
+        for j in range(16):
+            if j % 4 == 3:
+                net = generate(ScenarioConfig(
+                    num_users=6, num_bss=4, num_channels=32,
+                    distribution_factor=0.5, seed=int(rng.integers(10 ** 6))))
+            else:
+                net = random_network(rng, n_users=int(rng.integers(2, 6)),
+                                     n_bss=int(rng.integers(2, 4)))
+            costs = (0.0 if j % 2 else
+                     rng.choice([0.0, 0.01, 0.3], size=net.num_users))
+            m = int(rng.integers(1, net.num_users + 2))
+            seed = int(rng.integers(10 ** 6))
+            assert run(net, m, costs, 300, seed, mode=mode) == \
+                fresh_evaluator_run(net, m, costs, 300, seed, mode)
+
+    def test_one_better_reply_query_per_distinct_profile(self, monkeypatch):
+        """On one Evaluator, `step` asks `better_reply_set` once for each
+        profile the run starts a round from, however often it returns."""
+        calls = _count_better_replies(monkeypatch)
+        rng = np.random.default_rng(5)
+        rounds = queries = 0
+        for _ in range(10):
+            net = random_network(rng, n_users=5, n_bss=3)
+            del calls[:]
+            res = run(net, 5, 0.0, 300, seed=int(rng.integers(10 ** 6)))
+            visited = [rec.profile for rec in res.trace[:-1]]
+            assert sorted(calls) == sorted(set(visited))
+            rounds += res.iterations
+            queries += len(calls)
+        assert 2 * queries < rounds
+
+    def test_new_evaluator_or_costs_ask_again(self, monkeypatch):
+        """Another Evaluator object, or changed costs, drop the replies
+        `state` kept; the same Evaluator and costs reuse them."""
+        calls = _count_better_replies(monkeypatch)
+        net = positioned_network()
+        mode = GameMode()
+        state = init_state(net, 3, math.inf, seed=1)   # nobody moves
+        start = state.profile
+        ev = Evaluator(net, mode)
+        for _ in range(3):
+            step(net, state, mode, ev)
+        assert len(calls) == 1
+        step(net, state, mode, Evaluator(net, mode))
+        step(net, state, mode)
+        state.costs[0] = 1e9
+        step(net, state, mode, ev)
+        step(net, state, mode, ev)
+        assert calls == [start] * 4 and state.profile == start
+
+
+COSTS = (0.0, 0.0, 0.05, 0.5, math.inf)
+EVENT_KINDS = ("step", "step", "step", "add", "remove", "regenerate",
+               "cost", "reports")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       strategy=st.sampled_from([CA, CAPA]), taxed=st.booleans(),
+       ops=st.lists(st.tuples(st.sampled_from(EVENT_KINDS),
+                              st.integers(0, 2 ** 31 - 1)),
+                    min_size=1, max_size=30))
+@example(seed=0, strategy=CAPA, taxed=True,          # costs change in place
+         ops=[("step", 3), ("step", 3), ("cost", 0), ("step", 3)])
+@example(seed=0, strategy=CAPA, taxed=True,          # another Evaluator
+         ops=[("step", 3), ("step", 3), ("reports", 0), ("step", 3)])
+def test_event_sequences_stay_aligned_and_exact(seed, strategy, taxed, ops):
+    """Random steps between arrivals, departures, channel redraws,
+    in-place cost changes and Evaluators on other reports: the profile,
+    memories and costs keep one entry per user, and every step equals the
+    same step on a deep copy of the state with nothing kept from earlier
+    rounds."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_users=int(rng.integers(1, 5)),
+                         n_bss=int(rng.integers(2, 4)))
+    net.gain_mean = rng.uniform(0.2, 2.0, size=(net.num_users, net.num_bss))
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    state = init_state(net, int(rng.integers(1, 4)),
+                       rng.choice(COSTS, size=net.num_users), seed)
+    ev = Evaluator(net, mode)
+    for kind, x in ops:
+        r = np.random.default_rng(x)
+        n, k = net.num_users, net.num_channels
+        if kind == "step":         # one to four rounds
+            for _ in range(1 + x % 4):
+                ref = copy.deepcopy(state)
+                ref._memo.clear()
+                step(net, state, mode, ev)
+                step(net, ref, mode, ev)
+                assert _same_state(state, ref)
+            continue
+        if kind == "cost":
+            state.costs[r.random(n) < 0.5] = r.choice(COSTS)
+        elif kind == "reports":
+            ev = Evaluator(net, mode,
+                           net.normalized_gain() * r.exponential(size=(n, k)))
+        else:
+            if kind == "add":
+                new = int(r.integers(0, 3))
+                event = AddUsers(
+                    gain=r.exponential(size=(new, k)), noise=np.ones((new, k)),
+                    gain_mean=r.uniform(0.2, 2.0, (new, net.num_bss)),
+                    costs=r.choice(COSTS, size=new))
+            elif kind == "remove":
+                event = RemoveUsers(r.choice(n, size=int(r.integers(0, n + 1)),
+                                             replace=False).tolist())
+            else:
+                event = RegenerateChannels(seed=x)
+            net = apply_event(net, state, event)
+            ev = Evaluator(net, mode)
+        assert (len(state.profile) == len(state.memories)
+                == state.costs.shape[0] == net.num_users)
+        assert all(0 <= w < net.num_bss for w in state.profile)
+        assert all(0 <= w < net.num_bss for mem in state.memories for w in mem)
