@@ -7,7 +7,11 @@ users in the cell, so an Evaluator memoizes per-(BS, user-set) solves;
 enumeration and the dynamic mechanism both ride on that cache.  A user
 that is not a contender of a cell (`per_bs_alloc.contenders`) cannot change
 it by joining or leaving, so its utility there is exactly 0 without a solve.
-Each cached cell also keeps every user's utility there (`utilities`).
+Each cached cell also keeps a row of user utilities there, each entry filled
+the first time it is asked for.  `better_reply_set` asks for an entry only
+when the user's single-user bound at that BS can clear its bar (see
+`Evaluator.utility_bounds`), so most join cells it cannot win are never
+solved.
 """
 
 import itertools
@@ -37,14 +41,34 @@ class CellResult:
     value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
     contenders: Optional[Tuple[bool, ...]] = None   # per user, filled on first use
-    row: Optional[Tuple[float, ...]] = None         # per user utility, filled on first use
+    row: Optional[List[Optional[float]]] = None     # per user utility, filled entry by entry
     # the solve's (held, best, bound) for `contenders`, dropped once it ran
     solve: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
 
 
 class Evaluator:
     """Memoized per-cell solves and utility rows for a fixed instance /
-    reports / mode.  Every query names its cell: a BS and its members."""
+    reports / mode.  Every query names its cell: a BS and its members.
+
+    Each cell's row holds the users' utilities there, an entry filled the
+    first time `utilities` or `better_reply_set` asks for it.
+    `better_reply_set` leaves unasked an entry that cannot clear the user's
+    bar by the single-user bound of `utility_bounds`,
+    U[w][i] = K_w·df_w·log1p(g·P_w / (K_w·tau)), g being user i's largest
+    report on BS w's K_w channels, times weight[w] in the taxed game.  In
+    two steps:
+    1. A taxed entry is a marginal value, V_w(S | {i}) - V_w(S) <= V_w({i})
+       by subadditivity (proved in `baselines.exhaustive_opt`; it holds
+       under CA and CAPA).  An untaxed entry is i's own rate in the cell.
+    2. Both V_w({i}) / weight[w] and that rate are df_w·sum_k
+       log1p(r_k·p_k / tau) over channels k of BS w, with r_k <= g, powers
+       p_k >= 0 and sum(p) <= P_w; by Jensen (log1p is concave) that is at
+       most U, weighted or not.
+    A taxed non-contender's entry is an exact 0.  The computed entry can
+    round a few ulps above U where the bound is exact (one channel, an
+    empty cell), hence the slack of `better_reply_set`.  The table is
+    built the first time `better_reply_set` needs it, so an Evaluator used
+    only for values never pays for it."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -52,6 +76,7 @@ class Evaluator:
         self.mode = mode
         self.reports = net.normalized_gain() if reports is None else np.asarray(reports, float)
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
+        self._bounds: Optional[List[List[float]]] = None
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)
@@ -114,21 +139,63 @@ class Evaluator:
 
     def utilities(self, a: Sequence[int]) -> Tuple[Tuple[float, ...], ...]:
         """Per BS w, every user's utility at w's cell under profile `a`:
-        `utility` for its members, `move_utility` for the others."""
-        return tuple(self._row(w, s) for w, s in enumerate(cells_of(self.net, a)))
+        `utility` for its members, `move_utility` for the others.  Every
+        entry of the W rows is filled."""
+        n = self.net.num_users
+        return tuple(tuple(self._entry(w, s, res, i) for i in range(n))
+                     for w, s, res in self._cells(a))
 
-    def _row(self, w: int, members: FrozenSet[int]) -> Tuple[float, ...]:
-        """The utility row of cell (w, members), kept with the cached cell."""
-        res = self.cell(w, members)
-        if res.row is None:
+    def _cells(self, a: Sequence[int]) -> List[Tuple[int, FrozenSet[int], CellResult]]:
+        """(w, members, cached result) of each cell of profile `a`, each
+        result with its row."""
+        out = []
+        for w, s in enumerate(cells_of(self.net, a)):
+            res = self.cell(w, s)
+            if res.row is None:
+                res.row = [None] * self.net.num_users
+            out.append((w, s, res))
+        return out
+
+    def _entry(self, w: int, members: FrozenSet[int], res: CellResult,
+               i: int) -> float:
+        """User i's utility at cell (w, members), whose cached result is
+        `res`, from its row, or computed and kept there."""
+        u = res.row[i]
+        if u is None:
             # a taxed non-contender's utility is 0 (see `utility`)
-            con, taxed = self._contenders(res, w, members), self.mode.taxed
-            res.row = tuple(
-                0.0 if taxed and not con[i]
-                else self.utility(w, members, i) if i in members
-                else self.move_utility(w, members, i)
-                for i in range(self.net.num_users))
-        return res.row
+            if self.mode.taxed and not self._contenders(res, w, members)[i]:
+                u = 0.0
+            elif i in members:
+                u = self.utility(w, members, i)
+            else:
+                u = self.move_utility(w, members, i)
+            res.row[i] = u
+        return u
+
+    def utility_bounds(self) -> List[List[float]]:
+        """The (W, N) table U[w][i] of single-user bounds (see the class
+        docstring), built on first use in one NumPy pass.  A BS without
+        channels caps at 0.  A NaN or negative report, or bandwidth, voids
+        the argument, and every bound is then +inf."""
+        if self._bounds is None:
+            net, reports = self.net, self.reports
+            shape = (net.num_bss, net.num_users)
+            if (np.isnan(reports).any() or (reports < 0).any()
+                    or not (net.bandwidth >= 0).all()):
+                bounds = np.full(shape, math.inf)
+            else:
+                best = np.zeros(shape)
+                for w, chans in enumerate(net.channels_of_bs):
+                    best[w] = reports[:, chans].max(axis=1, initial=0.0)
+                # no channel: best is 0, so any K >= 1 gives the bound 0
+                k = np.array([[max(len(c), 1)] for c in net.channels_of_bs],
+                             dtype=float)
+                bounds = k * net.bandwidth[:, None] * np.log1p(
+                    best * net.budget[:, None] / (k * net.tau))
+                if self.mode.taxed:
+                    bounds *= net.weight[:, None]
+            self._bounds = bounds.tolist()
+        return self._bounds
 
 
 def mask_members(mask: int) -> FrozenSet[int]:
@@ -152,15 +219,41 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
                      evaluator: Optional[Evaluator] = None,
                      margins: Optional[Sequence[float]] = None) -> List[List[int]]:
     """Per user, the BSs offering it strictly higher utility than its
-    current one, from one read of the profile's utility rows.  `margins[i]`
-    adds user i's switching cost."""
-    rows = _eval(net, mode, evaluator).utilities(a)
+    current one, read from the profile's utility rows.  `margins[i]` adds
+    user i's switching cost.
+
+    User i's bar is its utility here plus its margin plus STRICT_TOL.  An
+    entry not yet in the row of BS w's cell (w, S) is asked for only if
+    i's bound there, U = `ev.utility_bounds()[w][i]` =
+    K_w·df_w·log1p(g·P_w / (K_w·tau)) (weighted when taxed), plus a slack
+    of 1e-9·(1 + |V_w(S)| + U) is above the bar.  Otherwise the entry is at
+    most the bar, w is no reply, nothing is solved, and the entry stays
+    unasked.  U caps every entry: a taxed entry is at most V_w({i}) by
+    subadditivity, and V_w({i}) or i's own rate is at most U by Jensen
+    over the channels' powers (see `Evaluator`).  The slack covers the
+    entry's rounding, a few ulps of U or, for a taxed difference, of
+    V_w(S); so the lists equal those read from every entry."""
+    ev = _eval(net, mode, evaluator)
+    cells = ev._cells(a)
+    bounds = ev.utility_bounds()
     if margins is None:
         margins = [0.0] * len(a)
     out = []
-    for here, col, margin in zip(a, zip(*rows), margins):   # col[w]: at BS w
-        bar = col[here] + margin + STRICT_TOL
-        out.append([w for w, u in enumerate(col) if u > bar and w != here])
+    for i, (here, margin) in enumerate(zip(a, margins)):
+        bar = ev._entry(*cells[here], i) + margin + STRICT_TOL
+        replies = []
+        for w, members, res in cells:
+            if w == here:
+                continue
+            u = res.row[i]
+            if u is None:
+                cap = bounds[w][i]
+                if cap + 1e-9 * (1.0 + abs(res.value) + cap) <= bar:
+                    continue
+                u = ev._entry(w, members, res, i)
+            if u > bar:
+                replies.append(w)
+        out.append(replies)
     return out
 
 

@@ -115,12 +115,18 @@ def nearest_bs_profile(net: NetworkInstance) -> Tuple[int, ...]:
 
 
 def _costs(costs: Union[float, Sequence[float]], n: int) -> np.ndarray:
-    """Switching costs as an (n,) array: one for all users, or one each."""
+    """Switching costs as an (n,) array: one for all users, or one each.
+    Each must be >= 0 (+inf freezes its user): under a NaN cost no move
+    clears the user's bar, and under a negative one a worse BS does."""
     try:
-        return np.broadcast_to(np.asarray(costs, dtype=float), (n,)).copy()
+        out = np.broadcast_to(np.asarray(costs, dtype=float), (n,)).copy()
     except ValueError:
         raise InvalidArgumentError(
             f"need one switching cost or {n}, got {costs!r}") from None
+    if not (out >= 0).all():
+        raise InvalidArgumentError(
+            f"switching costs must be >= 0 and not NaN, got {costs!r}")
+    return out
 
 
 def init_state(net: NetworkInstance, memory_len: int,

@@ -52,6 +52,8 @@ class Campaign:
                 raise InvalidArgumentError(f"unknown algorithm {alg!r}")
         if self.strategy not in STRATEGIES:
             raise InvalidArgumentError(f"unknown strategy {self.strategy!r}")
+        # the rule `run` applies, checked before any point runs
+        mechanism._costs(self.cost_values, len(self.cost_values))
 
     def to_json(self) -> str:
         d = asdict(self)

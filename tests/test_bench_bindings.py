@@ -72,3 +72,37 @@ def test_run_calls_its_mechanism_bindings(name, monkeypatch):
                         interference=wl.sizes.get("interference", False))
     assert calls["step"] == res.iterations
     assert all(calls[fn] >= 1 for fn in required)
+
+
+@pytest.mark.parametrize("name", ["dbsa_indoor", "dbsa_interference", "oracles"])
+def test_one_op_calls_the_utility_queries(name, monkeypatch, tmp_path):
+    """One seeded op at the workload's sizes still calls `Evaluator.utility`
+    and `Evaluator.move_utility`, which every instance workload requires
+    (`COMMON_BINDINGS`), and on `oracles`, `enumerate_nes` still calls
+    `is_ne` and `better_reply_set` through `assoc_game`: a screen that
+    decides more replies without a query must not leave them idle."""
+    calls = collections.Counter()
+
+    def count(owner, fn):
+        target = getattr(owner, fn)
+
+        def counted(*args, **kwargs):
+            calls[fn] += 1
+            return target(*args, **kwargs)
+
+        monkeypatch.setattr(owner, fn, counted)
+
+    for fn in ("utility", "move_utility"):
+        count(assoc_game.Evaluator, fn)
+    if name == "oracles":
+        for fn in ("is_ne", "better_reply_set"):
+            count(assoc_game, fn)
+    wl = WORKLOADS[name](7, str(tmp_path))
+    try:
+        wl.setup(0)
+        wl.op(wl.prepare(0))
+    finally:
+        wl.close()
+    assert calls["utility"] >= 1 and calls["move_utility"] >= 1
+    if name == "oracles":
+        assert calls["is_ne"] >= 1 and calls["better_reply_set"] >= 1

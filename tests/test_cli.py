@@ -119,6 +119,28 @@ class TestCampaign:
         with pytest.raises(InvalidArgumentError, match="unknown strategy"):
             small_campaign(strategy=strategy)
 
+    @pytest.mark.parametrize("costs", [(math.nan,), (0.0, -1.0)])
+    def test_bad_costs_rejected_when_built(self, costs, tmp_path):
+        """A NaN or negative switching cost is refused before any point
+        runs, from the constructor, a manifest or the command line."""
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            small_campaign(cost_values=costs)
+        payload = json.loads(small_campaign().to_json())
+        payload["cost_values"] = list(costs)
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            Campaign.from_json(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            main(["campaign", "--users", "3", "--bss", "2", "--channels", "8",
+                  "--seed", "0", "--outdir", str(tmp_path / "out"),
+                  "--cost-values", ",".join(map(str, costs))])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cost", ["nan", "-1.0"])
+    def test_bad_run_cost_rejected(self, cost):
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            main(["run", "--users", "3", "--bss", "2", "--channels", "8",
+                  "--seed", "0", "--cost", cost])
+
     def test_campaign_json_round_trip(self):
         c = small_campaign(cer_values=(math.inf, 20.0))
         back = Campaign.from_json(c.to_json())

@@ -7,6 +7,7 @@ compares utilities with a tolerance below one ulp, so a last-bit change
 could change a run.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from ofdma_assoc import assoc_game, baselines
 from ofdma_assoc.assoc_game import Evaluator, GameMode
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
-                                   ScenarioConfig, generate)
+                                   ScenarioConfig, generate,
+                                   inject_estimation_error)
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
@@ -769,3 +771,165 @@ def test_exhaustive_rejects_reports_the_bound_cannot_take(bad):
     ev = Evaluator(net, GameMode(), reports)
     with pytest.raises(InvalidArgumentError):
         baselines.exhaustive_opt(net, CAPA, ev)
+
+
+# -- the single-user bound and the screened better replies ------------------
+
+
+def _slack(value, cap):
+    """The screen's slack for an entry at a cell of value `value` whose
+    bound is `cap` (see `assoc_game.better_reply_set`)."""
+    return 1e-9 * (1.0 + abs(value) + cap)
+
+
+# one user, one channel, where the bound is exact: the solve's rounding
+# puts the user's utility in the empty cell one ulp above its bound
+_ABOVE = NetworkInstance(gain=[[3.0]], noise=[[1.0]], channels_of_bs=[[0]],
+                         budget=[5.748589519729733], weight=[1.0],
+                         bandwidth=[1.0], tau=1.0)
+
+
+@st.composite
+def bound_nets(draw):
+    """A network of 1-5 users and 1-3 BSs of 1-4 channels each, reports
+    drawn from GAIN, BS weights from 0 to 3, and half the time reports
+    with Gaussian estimation error at a CER of -5 to 10 dB."""
+    n = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    k, w_cnt = sum(blocks), len(blocks)
+    gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)))
+    edges = np.cumsum([0] + blocks)
+    net = NetworkInstance(
+        gain=gain, noise=np.ones((n, k)),
+        channels_of_bs=[np.arange(a, b) for a, b in zip(edges, edges[1:])],
+        budget=draw(st.lists(st.floats(0.1, 10.0), min_size=w_cnt,
+                             max_size=w_cnt)),
+        weight=draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                             min_size=w_cnt, max_size=w_cnt)),
+        bandwidth=[draw(st.sampled_from([1.0, 180e3]))] * w_cnt,
+        tau=draw(st.sampled_from([1.0, 1.5, 4.0])))
+    reports = None
+    if draw(st.booleans()):
+        reports = inject_estimation_error(
+            net, draw(st.sampled_from([-5.0, 0.0, 10.0])),
+            np.random.default_rng(draw(st.integers(0, 2 ** 16))))
+    return net, reports
+
+
+def test_rounding_can_put_an_entry_above_its_bound():
+    """The slack is needed: here an entry exceeds its exact bound."""
+    for strategy in STRATEGIES:
+        for taxed in (True, False):
+            ev = Evaluator(_ABOVE, GameMode(strategy=strategy, taxed=taxed))
+            cap = ev.utility_bounds()[0][0]
+            u = ev.move_utility(0, frozenset(), 0)
+            assert cap < u <= cap + _slack(0.0, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_nets())
+@example((_ABOVE, None))
+def test_single_user_bound_caps_every_entry(case):
+    """For every cell (w, S) and every user i outside S, i's utility on
+    joining, and its value alone in cell w (weighted in the taxed game,
+    its rate in the untaxed one), are at most U[w][i] plus the screen's
+    slack."""
+    net, reports = case
+    n = net.num_users
+    subsets = [frozenset(s) for r in range(n + 1)
+               for s in itertools.combinations(range(n), r)]
+    for strategy in STRATEGIES:
+        for taxed in (True, False):
+            ev = Evaluator(net, GameMode(strategy=strategy, taxed=taxed), reports)
+            bounds = ev.utility_bounds()
+            for w in range(net.num_bss):
+                for s in subsets:
+                    value = ev.cell(w, s).value
+                    for i in set(range(n)) - s:
+                        cap = bounds[w][i]
+                        assert ev.move_utility(w, s, i) <= cap + _slack(value, cap)
+                for i in range(n):
+                    alone = ev.cell(w, frozenset([i]))
+                    single = alone.value if taxed else alone.rates[i]
+                    cap = bounds[w][i]
+                    assert single <= cap + _slack(0.0, cap)
+
+
+def full_row_replies(net, a, ev, margins):
+    """Per user, the better replies read from every entry of the profile's
+    utility rows (`Evaluator.utilities`), as before the screen."""
+    rows = ev.utilities(a)
+    out = []
+    for i, here in enumerate(a):
+        bar = rows[here][i] + margins[i] + assoc_game.STRICT_TOL
+        out.append([w for w in range(net.num_bss)
+                    if w != here and rows[w][i] > bar])
+    return out
+
+
+@pytest.mark.parametrize("taxed", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_screened_replies_match_full_rows(strategy, taxed):
+    """On fresh and on warm Evaluators, with zero and positive margins,
+    on reports with estimation error, and with a NaN or negative report
+    or negative bandwidths (each turns the screen off), the screened
+    lists are those read from full rows."""
+    rng = np.random.default_rng(17)
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    nets = [_network(rng) for _ in range(100)] + _generated(8, 4, 32, 6, 900)
+    for j, net in enumerate(nets):
+        n = net.num_users
+        reports = None
+        if j % 4 == 1:
+            reports = inject_estimation_error(net, 0.0, rng)
+        elif j % 4 == 2:
+            reports = net.normalized_gain().copy()
+            reports.flat[int(rng.integers(0, reports.size))] = (
+                math.nan if j % 8 == 2 else -0.5)
+        elif j % 8 == 3:
+            net = dataclasses.replace(net, bandwidth=-net.bandwidth)
+        screened, full = (Evaluator(net, mode, reports) for _ in range(2))
+        if j % 4 == 2 or j % 8 == 3:
+            assert all(math.isinf(u) for row in screened.utility_bounds()
+                       for u in row)
+        scale = max(1.0, screened.system_value((0,) * n) / max(n, 1))
+        for _ in range(4):
+            a = tuple(int(x) for x in rng.integers(0, net.num_bss, n))
+            for margins in ([0.0] * n,
+                            (scale * rng.uniform(0.0, 0.5, n)).tolist(),
+                            (scale * rng.choice([0.0, 1e-3, 0.2], n)).tolist()):
+                with np.errstate(invalid="ignore"):
+                    got = assoc_game.better_reply_set(net, a, mode, screened,
+                                                      margins)
+                    assert got == full_row_replies(net, a, full, margins)
+
+
+@pytest.mark.parametrize("taxed", [True, False])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_enumerated_nes_match_full_rows(strategy, taxed):
+    """`enumerate_nes` finds exactly the profiles where no user has a
+    better reply in the full rows."""
+    rng = np.random.default_rng(19)
+    mode = GameMode(strategy=strategy, taxed=taxed)
+    for net in [_network(rng) for _ in range(40)] + _generated(5, 3, 24, 3, 910):
+        got = assoc_game.enumerate_nes(net, mode, Evaluator(net, mode))
+        full = Evaluator(net, mode)
+        zero = [0.0] * net.num_users
+        want = [a for a in itertools.product(range(net.num_bss),
+                                             repeat=net.num_users)
+                if not any(full_row_replies(net, a, full, zero))]
+        assert [a for a, _ in got.nes] == want
+
+
+def test_screen_solves_fewer_cells(monkeypatch):
+    """On a bench-sized instance the screened better replies solve fewer
+    cells than reading the full rows, with the same lists."""
+    net = _generated(10, 6, 64, 1, 51)[0]
+    a = baselines.nearest_bs(net).profile
+    counts = _CountingSolves(monkeypatch)
+    mode = GameMode()
+    full = full_row_replies(net, a, Evaluator(net, mode), [0.0] * len(a))
+    before, counts.solves = counts.solves, 0
+    assert assoc_game.better_reply_set(net, a, mode, Evaluator(net, mode)) == full
+    assert 0 < counts.solves < before

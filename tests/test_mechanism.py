@@ -151,6 +151,26 @@ class TestStep:
             step(net, state, mode)
             assert np.array_equal(state.profile, start)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf,
+                                     [0.0, 0.5, 1.0, 0.0, math.nan, 0.0]])
+    def test_nan_and_negative_costs_rejected(self, bad):
+        """A NaN cost makes a bar no move clears, so a run stopped as
+        "converged" on a profile that is no NE; a negative one makes users
+        "improve" to worse BSs, so a run never converged."""
+        net = generate(ScenarioConfig(num_users=6, num_bss=3, num_channels=24,
+                                      seed=2))
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            run(net, 3, bad, 200, seed=1)
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            init_state(net, 3, bad, seed=1)
+        state = init_state(net, 3, 0.0, seed=1)
+        with pytest.raises(InvalidArgumentError, match="switching costs"):
+            apply_event(net, state, AddUsers(
+                gain=net.gain[:1], noise=net.noise[:1],
+                positions=net.user_pos[:1], gain_mean=net.gain_mean[:1],
+                costs=bad if np.ndim(bad) == 0 else [math.nan]))
+        assert len(state.profile) == len(state.costs) == net.num_users
+
     def test_memory_never_exceeds_bound(self):
         net = positioned_network()
         m = 2
