@@ -15,7 +15,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .assoc_game import Evaluator, GameMode, _eval, better_reply_set, is_ne
-from .net_model import InvalidArgumentError, NetworkInstance
+from .net_model import InvalidArgumentError, NetworkInstance, exponential_fading
 from .per_bs_alloc import Allocation, cells_of, solve_cell
 
 
@@ -300,12 +300,8 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     elif isinstance(event, RegenerateChannels):
         if net.gain_mean is None:
             raise InvalidArgumentError("instance carries no gain model to redraw from")
-        rng = np.random.default_rng(event.seed)
-        gain = np.zeros_like(net.gain)
-        for w, chans in enumerate(net.channels_of_bs):
-            gain[:, chans] = rng.exponential(
-                scale=net.gain_mean[:, w][:, None],
-                size=(net.num_users, len(chans)))
+        gain = exponential_fading(net.gain_mean, net.channels_of_bs,
+                                  np.random.default_rng(event.seed))
         new_net = dataclasses.replace(net, gain=gain)
         label = f"regenerate_channels:{event.seed}"
     else:

@@ -48,6 +48,10 @@ class NetworkInstance:
     gain[i, k] is the linear channel power gain |h|^2 of user i on global
     channel k; noise[i, k] the noise power in watts.  channels_of_bs[w]
     lists the disjoint global channel indices owned by BS w.
+
+    The library never writes into these tables: it rebinds them or builds
+    new ones.  So a generated instance holds its flat noise floor once, as
+    a read-only broadcast view that `noise` and `thermal_noise` share.
     """
 
     gain: np.ndarray              # (N, K)
@@ -98,11 +102,14 @@ class NetworkInstance:
             raise InvalidArgumentError("negative channel gain")
         if np.any(self.noise <= 0):
             raise InvalidArgumentError("noise powers must be strictly positive")
-        if np.any(self.budget <= 0):
+        # written as "not (x >= 0)" so that NaN fails too
+        if not (self.budget > 0).all():
             raise InvalidArgumentError("power budgets must be strictly positive")
-        if np.any(self.weight < 0):
+        if not (self.weight >= 0).all():
             raise InvalidArgumentError("BS weights must be nonnegative")
-        if self.tau < 1.0:
+        if not (self.bandwidth >= 0).all():
+            raise InvalidArgumentError("bandwidths must be nonnegative")
+        if not self.tau >= 1.0:
             raise InvalidArgumentError(f"capacity gap must be >= 1, got {self.tau}")
 
     def normalized_gain(self) -> np.ndarray:
@@ -251,11 +258,15 @@ def _scenario_instance(cfg: ScenarioConfig, gain: np.ndarray,
                        user_pos: np.ndarray, bs_pos: np.ndarray,
                        gain_mean: np.ndarray) -> NetworkInstance:
     """The instance both scenario generators build from their draws: flat
-    thermal noise, equal BS budgets, unit weights, subcarrier spacing df."""
+    thermal noise (one read-only view, shared by `noise` and
+    `thermal_noise`), equal BS budgets, unit weights, subcarrier spacing
+    df."""
     w_cnt = len(chans)
+    noise = np.broadcast_to(dbm_to_watts(cfg.noise_psd_dbm_hz) * df, gain.shape)
     return NetworkInstance(
         gain=gain,
-        noise=np.full(gain.shape, dbm_to_watts(cfg.noise_psd_dbm_hz) * df),
+        noise=noise,
+        thermal_noise=noise,
         channels_of_bs=chans,
         budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
         weight=np.ones(w_cnt),
@@ -276,19 +287,30 @@ def gen_indoor(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkInstance
     chans = _split_channels(cfg.num_channels, cfg.num_bss)
     df = cfg.total_bandwidth_hz / cfg.num_channels
 
-    n, w_cnt, k = cfg.num_users, cfg.num_bss, cfg.num_channels
-    shadow_db = rng.normal(0.0, math.sqrt(cfg.shadowing_var_db2), size=(n, w_cnt))
-    gain = np.zeros((n, k))
-    gain_mean = np.zeros((n, w_cnt))
-    for w in range(w_cnt):
-        d = np.maximum(np.linalg.norm(user_pos - bs_pos[w], axis=1), 1.0)
-        pl_db = cfg.pl1_db + 26.0 * np.log10(d) + 14.1
-        sigma2 = 10.0 ** (shadow_db[:, w] / 10.0) / 10.0 ** (pl_db / 10.0)
-        gain_mean[:, w] = sigma2
-        gain[:, chans[w]] = rng.exponential(
-            scale=sigma2[:, None], size=(n, len(chans[w])))
-
+    shadow_db = rng.normal(0.0, math.sqrt(cfg.shadowing_var_db2),
+                           size=(cfg.num_users, cfg.num_bss))
+    d = np.maximum(np.linalg.norm(user_pos[:, None] - bs_pos[None], axis=2), 1.0)
+    pl_db = cfg.pl1_db + 26.0 * np.log10(d) + 14.1
+    gain_mean = 10.0 ** (shadow_db / 10.0) / 10.0 ** (pl_db / 10.0)
+    gain = exponential_fading(gain_mean, chans, rng)
     return _scenario_instance(cfg, gain, chans, df, user_pos, bs_pos, gain_mean)
+
+
+def exponential_fading(gain_mean: np.ndarray, chans: Sequence[np.ndarray],
+                       rng: np.random.Generator) -> np.ndarray:
+    """(N, K) gains: gain[i, k] exponential with mean gain_mean[i, w] on
+    each channel k of BS w.  One standard-exponential draw, consumed BS
+    by BS and user by user within a BS, scaled by the mean: the numbers and
+    the generator state of one `rng.exponential` call per BS."""
+    n, k = gain_mean.shape[0], sum(len(c) for c in chans)
+    draws = rng.standard_exponential(n * k)
+    gain = np.empty((n, k))
+    start = 0
+    for w, c in enumerate(chans):
+        stop = start + n * len(c)
+        gain[:, c] = draws[start:stop].reshape(n, len(c)) * gain_mean[:, w, None]
+        start = stop
+    return gain
 
 
 def hex_layout(d_km: float, n_cells: int = 7) -> np.ndarray:

@@ -246,18 +246,6 @@ def _rates(net: NetworkInstance, w: int, beta: List[int], powers: List[float],
     return rates
 
 
-def _rates_from_alloc(net: NetworkInstance, alloc: Allocation,
-                      norm_gains: np.ndarray) -> Dict[int, float]:
-    """Per-user rates of an allocation under the given normalized gains."""
-    powers = alloc.power.tolist()
-    if max(powers, default=0.0) <= 0:
-        return {}                         # an empty cell or no usable channel
-    beta = alloc.beta.tolist()
-    rows = alloc.beta if min(beta) >= 0 else np.maximum(alloc.beta, 0)
-    gains = norm_gains[rows, alloc.channels].tolist()
-    return _rates(net, alloc.bs, beta, powers, gains)
-
-
 def reported_rates(net: NetworkInstance, alloc: Allocation) -> Dict[int, float]:
     """Rates as the BS evaluates them, i.e. from the reports the allocation
     was solved on (`alloc.best`)."""
@@ -269,8 +257,17 @@ def reported_rates(net: NetworkInstance, alloc: Allocation) -> Dict[int, float]:
 
 def realized_rates(net: NetworkInstance, alloc: Allocation,
                    users: Optional[Iterable[int]] = None) -> Dict[int, float]:
-    """Actual rates from the true channels; users holding no channel get 0."""
-    rates = _rates_from_alloc(net, alloc, net.normalized_gain())
+    """Actual rates from the true channels; users holding no channel get 0.
+    Only the allocation's entries of `gain / noise` are divided: the same
+    numbers as dividing the whole table first."""
+    rates: Dict[int, float] = {}
+    powers = alloc.power.tolist()
+    if max(powers, default=0.0) > 0:      # else an empty cell or no usable channel
+        beta = alloc.beta.tolist()
+        at = (alloc.beta if min(beta) >= 0 else np.maximum(alloc.beta, 0),
+              alloc.channels)
+        rates = _rates(net, alloc.bs, beta, powers,
+                       (net.gain[at] / net.noise[at]).tolist())
     if users is not None:
         for u in users:
             rates.setdefault(int(u), 0.0)

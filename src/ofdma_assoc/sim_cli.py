@@ -9,6 +9,7 @@ scheduling.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -380,8 +381,15 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: parsing leaves it
+    unchanged, so one per process serves every call."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "generate": _cmd_generate,
         "run": _cmd_run,

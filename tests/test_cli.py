@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from ofdma_assoc import sim_cli
 from ofdma_assoc.assoc_game import Evaluator
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig)
@@ -219,6 +220,28 @@ class TestCliSurface:
                      "--d-values", "0.2,0.8", "--outdir", str(outdir)]) == 0
         assert (outdir / "summary.csv").exists()
         assert (outdir / "manifest.json").exists()
+
+    def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
+        """A second `main` call in the process parses afresh: a campaign
+        with the defaults after one with other flags writes the files a
+        new parser's arguments write, and a bad argument still exits 2."""
+        def argv(outdir, *flags):
+            return ["campaign", "--seed", "3", "--users", "4", "--bss", "2",
+                    "--channels", "8", "--outdir", str(tmp_path / outdir), *flags]
+        first = argv("a", "--trials", "2", "--cer-values", "inf,0",
+                     "--algorithms", "dbsa,nearest,bound")
+        assert main(first) == 0
+        assert main(argv("b")) == 0
+        for name, args in (("a", first), ("b", argv("b"))):
+            fresh = build_parser().parse_args(args)
+            fresh.outdir = str(tmp_path / ("fresh-" + name))
+            sim_cli._cmd_campaign(fresh)
+            assert read_all(str(tmp_path / name)) == read_all(fresh.outdir)
+        with pytest.raises(SystemExit) as exc:
+            main(argv("c", "--trials", "two"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "c").exists()
+        assert sim_cli._parser() is sim_cli._parser()
 
     def test_replay_subcommand(self, tmp_path):
         outdir = tmp_path / "camp"

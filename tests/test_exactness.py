@@ -25,8 +25,9 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
-                                      _rates_from_alloc, cells_of, contenders,
-                                      reported_rates, solve_cell, solve_cells,
+                                      cells_of, contenders,
+                                      realized_rates, reported_rates,
+                                      solve_cell, solve_cells,
                                       water_fill)
 
 # -- reference kernel: the plain NumPy bodies the lean kernel replaced ------
@@ -231,7 +232,7 @@ def test_reported_rates_read_the_solve(cell):
         alloc = solve_cell(net, 0, users, reports, strategy)
         assert alloc.best.tolist() == reports[alloc.beta, chans].tolist()
         assert list(reported_rates(net, alloc).items()) == list(
-            _rates_from_alloc(net, alloc, reports).items())
+            realized_rates(net, alloc).items())
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,10 +256,10 @@ def test_rates_of_empty_and_partial_allocations():
                           weight=[1.0], bandwidth=[1.0], tau=1.0)
     g = net.normalized_gain()
     empty = _empty_allocation(net, 0)
-    assert _rates_from_alloc(net, empty, g) == ref_rates_from_alloc(net, empty, g) == {}
+    assert realized_rates(net, empty) == ref_rates_from_alloc(net, empty, g) == {}
     partial = Allocation(bs=0, channels=np.arange(3), beta=np.array([-1, 0, 0]),
                          power=np.ones(3), best=np.array([0.0, 2.0, 3.0]))
-    assert list(_rates_from_alloc(net, partial, g).items()) == list(
+    assert list(realized_rates(net, partial).items()) == list(
         ref_rates_from_alloc(net, partial, g).items()) == list(
         reported_rates(net, partial).items())
 
@@ -517,6 +518,25 @@ def _generated(n, w, k, count, seed):
                                     distribution_factor=(0.2, 0.5, 0.8)[j % 3],
                                     seed=seed + j))
             for j in range(count)]
+
+
+def test_realized_rates_divide_only_the_allocation():
+    """`realized_rates` divides only the allocation's entries of the true
+    gains: the rates of the whole normalized table, in the same key order,
+    on generated instances (one shared noise floor) and on random noise."""
+    rng = np.random.default_rng(23)
+    nets = _generated(8, 4, 32, 6, 700) + [
+        dataclasses.replace(net, noise=rng.uniform(0.5, 2.0, net.gain.shape))
+        for net in (_network(rng) for _ in range(40))]
+    for net in nets:
+        truth = net.normalized_gain()
+        reports = inject_estimation_error(net, 0.0, rng)
+        a = rng.integers(0, net.num_bss, net.num_users)
+        for strategy in STRATEGIES:
+            for w, users in enumerate(cells_of(net, a)):
+                alloc = solve_cell(net, w, users, reports, strategy)
+                assert list(realized_rates(net, alloc).items()) == list(
+                    ref_rates_from_alloc(net, alloc, truth).items())
 
 
 def _no_users():
@@ -888,7 +908,10 @@ def test_screened_replies_match_full_rows(strategy, taxed):
             reports.flat[int(rng.integers(0, reports.size))] = (
                 math.nan if j % 8 == 2 else -0.5)
         elif j % 8 == 3:
-            net = dataclasses.replace(net, bandwidth=-net.bandwidth)
+            # `validate` refuses negative bandwidths; the screen still
+            # guards an instance whose bandwidths were rebound after
+            net = dataclasses.replace(net)
+            net.bandwidth = -net.bandwidth
         screened, full = (Evaluator(net, mode, reports) for _ in range(2))
         if j % 4 == 2 or j % 8 == 3:
             assert all(math.isinf(u) for row in screened.utility_bounds()

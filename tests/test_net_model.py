@@ -1,5 +1,8 @@
+import copy
 import hashlib
+import itertools
 import math
+from collections import deque
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_network
+from ofdma_assoc import mechanism
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
-                                   SatInstance, ScenarioConfig, capacity_gap,
+                                   SatInstance, ScenarioConfig, _indoor_positions,
+                                   _split_channels, capacity_gap,
                                    dbm_to_watts, generate,
                                    inject_estimation_error, reduce_3sat)
 
@@ -60,6 +65,8 @@ class TestNetworkInstance:
 
     @pytest.mark.parametrize("field,value", [
         ("gain", -1.0), ("noise", 0.0), ("budget", 0.0), ("tau", 0.5),
+        ("budget", math.nan), ("weight", -1.0), ("weight", math.nan),
+        ("bandwidth", -1.0), ("bandwidth", math.nan), ("tau", math.nan),
     ])
     def test_invalid_numbers_rejected(self, rng, field, value):
         net = random_network(rng)
@@ -74,6 +81,12 @@ class TestNetworkInstance:
             kwargs[field] = arr
         with pytest.raises(InvalidArgumentError):
             NetworkInstance(**kwargs)
+
+    def test_zero_bandwidth_allowed(self, rng):
+        net = random_network(rng, n_bss=2)
+        NetworkInstance(gain=net.gain, noise=net.noise,
+                        channels_of_bs=net.channels_of_bs, budget=net.budget,
+                        weight=net.weight, bandwidth=[0.0, 1.0], tau=net.tau)
 
     def test_json_round_trip(self, rng):
         net = random_network(rng)
@@ -212,6 +225,135 @@ class TestGeneratorDigests:
     def test_instance_json_digest(self, cfg, digest):
         payload = generate(cfg).to_json().encode("utf-8")
         assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def reference_indoor(cfg):
+    """`gen_indoor` as a loop over BSs, with one `rng.exponential` call per
+    BS and a dense noise table (`thermal_noise` its copy)."""
+    rng = np.random.default_rng(cfg.seed)
+    user_pos, bs_pos = _indoor_positions(cfg, rng)
+    chans = _split_channels(cfg.num_channels, cfg.num_bss)
+    df = cfg.total_bandwidth_hz / cfg.num_channels
+    n, w_cnt, k = cfg.num_users, cfg.num_bss, cfg.num_channels
+    shadow_db = rng.normal(0.0, math.sqrt(cfg.shadowing_var_db2), size=(n, w_cnt))
+    gain = np.zeros((n, k))
+    gain_mean = np.zeros((n, w_cnt))
+    for w in range(w_cnt):
+        d = np.maximum(np.linalg.norm(user_pos - bs_pos[w], axis=1), 1.0)
+        pl_db = cfg.pl1_db + 26.0 * np.log10(d) + 14.1
+        sigma2 = 10.0 ** (shadow_db[:, w] / 10.0) / 10.0 ** (pl_db / 10.0)
+        gain_mean[:, w] = sigma2
+        gain[:, chans[w]] = rng.exponential(
+            scale=sigma2[:, None], size=(n, len(chans[w])))
+    return NetworkInstance(
+        gain=gain, noise=np.full(gain.shape, dbm_to_watts(cfg.noise_psd_dbm_hz) * df),
+        channels_of_bs=chans, budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
+        weight=np.ones(w_cnt), bandwidth=np.full(w_cnt, df),
+        tau=capacity_gap(cfg.ber), user_pos=user_pos, bs_pos=bs_pos,
+        gain_mean=gain_mean)
+
+
+def reference_regenerate(net, seed):
+    """The gains `RegenerateChannels(seed)` draws, as one call per BS."""
+    rng = np.random.default_rng(seed)
+    gain = np.zeros_like(net.gain)
+    for w, chans in enumerate(net.channels_of_bs):
+        gain[:, chans] = rng.exponential(scale=net.gain_mean[:, w][:, None],
+                                         size=(net.num_users, len(chans)))
+    return gain
+
+
+class TestOnePassGenerator:
+    def test_indoor_matches_reference_loop(self):
+        """Same JSON text as the per-BS loop over N, W, K, D and seeds."""
+        for n, w, k, d, seed in itertools.product(
+                [1, 2, 6, 8, 10, 20], range(1, 9), [8, 24, 64],
+                [0.0, 0.2, 0.5, 0.8, 1.0], range(2)):
+            cfg = ScenarioConfig(num_users=n, num_bss=w, num_channels=k,
+                                 distribution_factor=d, seed=seed)
+            assert generate(cfg).to_json() == reference_indoor(cfg).to_json(), cfg
+
+    def test_regenerated_channels_match_reference_loop(self, rng):
+        """On generated instances and on hand-built ones whose BSs own
+        shuffled, empty or single channels, and with no users."""
+        nets = [generate(ScenarioConfig(num_users=n, num_bss=w, num_channels=k,
+                                        seed=seed))
+                for n, w, k, seed in [(10, 6, 64, 0), (7, 3, 10, 1), (1, 1, 1, 2),
+                                      (0, 2, 4, 3)]]
+        for blocks in ([3, 0, 2], [1, 4], [0, 1]):
+            base = random_network(rng, n_users=int(rng.integers(0, 5)),
+                                  n_bss=len(blocks), chans_per_bs=blocks)
+            perm = rng.permutation(base.num_channels)
+            nets.append(NetworkInstance(
+                gain=base.gain, noise=base.noise,
+                channels_of_bs=[perm[c] for c in base.channels_of_bs],
+                budget=base.budget, weight=base.weight,
+                bandwidth=base.bandwidth, tau=base.tau,
+                gain_mean=rng.uniform(0.1, 2.0, (base.num_users, len(blocks)))))
+        for j, net in enumerate(nets):
+            n = net.num_users
+            state = mechanism.MechanismState(
+                profile=(0,) * n, memories=[deque(maxlen=2) for _ in range(n)],
+                costs=np.zeros(n), memory_len=2, rng=np.random.default_rng(0))
+            got = mechanism.apply_event(net, state, mechanism.RegenerateChannels(j))
+            assert got.gain.tobytes() == reference_regenerate(net, j).tobytes()
+
+
+def _generated(mode="indoor"):
+    return generate(ScenarioConfig(mode=mode, num_users=8, num_bss=4,
+                                   num_channels=32, seed=21))
+
+
+class TestSharedNoiseFloor:
+    @pytest.mark.parametrize("mode", ["indoor", "outdoor"])
+    def test_one_read_only_buffer(self, mode):
+        net = _generated(mode)
+        assert net.noise is net.thermal_noise
+        assert not net.noise.flags.writeable
+        assert net.noise.strides == (0, 0)
+        assert net.noise.shape == net.gain.shape
+        with pytest.raises(ValueError):
+            net.noise[0, 0] = 1.0
+
+    def test_caller_built_noise_gets_a_private_floor(self, rng):
+        net = random_network(rng)
+        assert net.thermal_noise is not net.noise
+        assert net.thermal_noise.flags.writeable
+        assert not np.shares_memory(net.thermal_noise, net.noise)
+
+    def test_deepcopy_materializes_one_table(self):
+        net = _generated()
+        dup = copy.deepcopy(net)
+        assert dup.noise is dup.thermal_noise
+        assert dup.noise.flags.writeable and dup.noise.strides != (0, 0)
+        assert dup.to_json() == net.to_json()
+
+    def test_library_calls_leave_the_instance_unchanged(self):
+        """Each call works on a generated instance, and the instance keeps
+        its arrays and their values."""
+        net = _generated()
+        text, noise = net.to_json(), net.noise
+        res = mechanism.run(net, 3, 0.0, 30, seed=1, interference=True)
+        assert len(res.trace) == res.iterations + 1
+        events = [
+            mechanism.AddUsers(gain=net.gain[:2], noise=net.noise[:2],
+                               positions=net.user_pos[:2],
+                               gain_mean=net.gain_mean[:2]),
+            mechanism.RemoveUsers([0, 3]),
+            mechanism.RegenerateChannels(5),
+        ]
+        for event in events:
+            state = mechanism.init_state(net, 2, 0.0, 0)
+            new = mechanism.apply_event(net, state, event)
+            assert new is not net and new.noise.shape == new.gain.shape
+            assert np.array_equal(new.thermal_noise, new.noise)
+            assert mechanism.run(new, 2, 0.0, 100, seed=2).trace
+        copy.deepcopy(net)
+        assert NetworkInstance.from_json(text).to_json() == text
+        reports = inject_estimation_error(net, 0.0, np.random.default_rng(3))
+        assert reports.flags.writeable and reports.shape == net.gain.shape
+        assert net.to_json() == text
+        assert net.noise is noise and net.thermal_noise is noise
 
 
 class TestEstimationError:
