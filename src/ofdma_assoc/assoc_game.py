@@ -206,7 +206,9 @@ def mask_members(mask: int) -> FrozenSet[int]:
 def _eval(net: NetworkInstance, mode: GameMode,
           evaluator: Optional[Evaluator]) -> Evaluator:
     """The game's Evaluator: a new one, or `evaluator` if it is of this very
-    `net` object and of `mode`; one of another game is an error."""
+    `net` object and of `mode`, whatever reports it holds (estimated ones,
+    or those of an interference round); one of another game is an
+    error."""
     if evaluator is None:
         return Evaluator(net, mode)
     if evaluator.net is not net or (evaluator.mode is not mode

@@ -3,7 +3,7 @@ optimum, steepest-ascent local search, and the multiple-connectivity upper
 bound."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ def candidate_bss(net: NetworkInstance,
 
 
 def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
-                   evaluator: Optional[Evaluator] = None,
-                   cap: int = SEARCH_CAP) -> BaselineResult:
+                   evaluator: Optional[Evaluator] = None) -> BaselineResult:
     """Global optimum over the pruned profile space, by depth-first branch
     and bound (Land & Doig 1960).  `evaluations` counts the leaves reached
     above the warm start, each of which raises the incumbent.
@@ -92,9 +91,9 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     space = 1
     for c in cands:
         space *= len(c)
-        if space > cap:
+        if space > SEARCH_CAP:
             raise SearchSpaceTooLargeError(
-                f"pruned profile space exceeds cap {cap}")
+                f"pruned profile space exceeds cap {SEARCH_CAP}")
 
     n, num_bss = net.num_users, net.num_bss
     if n == 0:
@@ -188,14 +187,13 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
 
 
 def greedy0(net: NetworkInstance, strategy: str = CAPA,
-            evaluator: Optional[Evaluator] = None,
-            start: Optional[Sequence[int]] = None) -> BaselineResult:
+            evaluator: Optional[Evaluator] = None) -> BaselineResult:
     """Steepest single-user-move ascent on the system objective, starting
     from the nearest-BS profile.  A move changes two cells: it is valued by
     replacing their values in the list of W cell values and summing it in
     BS order, as `Evaluator.system_value` sums."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
-    a = [int(w) for w in (nearest_bs_profile(net) if start is None else start)]
+    a = list(nearest_bs_profile(net))
     evals = 1
     while True:
         sets = cells_of(net, a)

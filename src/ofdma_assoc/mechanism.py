@@ -203,16 +203,18 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
         interference: bool = False,
         evaluator: Optional[Evaluator] = None) -> RunResult:
     """Iterate the mechanism until the stopping rule fires or max_iter is
-    reached.  With `interference`, per-user noise entries are refreshed from
-    the other cells' latest power allocations before each BS round; the
-    refreshed noise goes to a private copy of `net`, so the caller's
-    instance is unchanged.  A refresh that leaves the noise equal keeps the
-    round's `Evaluator` (same reports); after such a fixed point, a round
-    whose profile did not change skips the refresh (same cells on the same
-    reports give the same noise).  A shared `evaluator` supplies the
-    reports and its cache; like every entry that takes one, `run` refuses
-    one of another instance or mode (see `assoc_game._eval`).  Interference
-    mode changes the instance, so takes none.
+    reached.  With `interference`, each BS round acts on new reports: the
+    users' noise is refreshed from the other cells' latest power
+    allocations, `net.noise` being the floor, and the round's `Evaluator`
+    is built on `net` with reports `net.gain / noise`.  The refreshed noise
+    is a local of the run; `net` is never written.  A refresh that leaves
+    the noise equal keeps the round's `Evaluator` (same reports); after
+    such a fixed point, a round whose profile did not change skips the
+    refresh (same cells on the same reports give the same noise).  A shared
+    `evaluator` supplies the reports and its cache; like every entry that
+    takes one, `run` refuses one of another instance or mode (see
+    `assoc_game._eval`).  Interference mode makes its own reports, so takes
+    none.
 
     Each round is one `step` and one `_record`; a profile the run visits
     again under the same `Evaluator` reuses its better replies and trace
@@ -220,24 +222,23 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     starts them afresh."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
-    if interference:
-        if evaluator is not None:
-            raise InvalidArgumentError("interference mode takes no evaluator")
-        net = dataclasses.replace(net)   # the refresh rebinds this copy's noise
+    if interference and evaluator is not None:
+        raise InvalidArgumentError("interference mode takes no evaluator")
     ev = _eval(net, mode, evaluator)
     state = init_state(net, memory_len, costs, seed)
     _record(state, ev)
+    noise = net.noise             # the noise the round's reports are on
     fixed = False                 # the last refresh left the noise equal
     while state.iteration < max_iter and state.stable < memory_len:
         if interference and not (fixed and state.stable >= 1):
             allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
                       for w, users in enumerate(cells_of(net, state.profile))
                       if users}
-            noise = update_interference_noise(net, state.profile, allocs)
-            fixed = np.array_equal(noise, net.noise)
+            new = update_interference_noise(net, state.profile, allocs)
+            fixed = np.array_equal(new, noise)
             if not fixed:
-                net.noise = noise
-                ev = Evaluator(net, mode)
+                noise = new
+                ev = Evaluator(net, mode, net.gain / noise)
         step(net, state, mode, ev)
         _record(state, ev)
     converged = state.stable >= memory_len
@@ -274,7 +275,6 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         keep = [i for i in range(net.num_users) if i not in idx]
         new_net = dataclasses.replace(
             net, gain=net.gain[keep], noise=net.noise[keep],
-            thermal_noise=net.thermal_noise[keep],
             user_pos=_rows(net.user_pos, keep),
             gain_mean=_rows(net.gain_mean, keep))
         state.profile = tuple(state.profile[i] for i in keep)
@@ -289,7 +289,6 @@ def apply_event(net: NetworkInstance, state: MechanismState,
         new_net = dataclasses.replace(
             net, gain=np.vstack([net.gain, gain]),
             noise=np.vstack([net.noise, noise]),
-            thermal_noise=np.vstack([net.thermal_noise, noise]),
             user_pos=_stack(net.user_pos, event.positions, "positions"),
             gain_mean=_stack(net.gain_mean, event.gain_mean, "gain_mean"))
         state.profile += nearest_bs_profile(new_net)[net.num_users:]
@@ -315,12 +314,13 @@ def apply_event(net: NetworkInstance, state: MechanismState,
 
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
                               allocations: Dict[int, Allocation]) -> np.ndarray:
-    """The refreshed noise entries, `net` left unchanged: thermal floor
-    plus, on each of the serving BS's channels, the co-subcarrier transmit
-    powers of every other BS weighted by the cross gains.  Per-BS channel
-    blocks align by position (same conceptual subcarrier); a BS whose block
-    is too short to have a channel at some position adds no interference
-    there.  The per-position sums run over the BSs in ascending order."""
+    """The refreshed noise entries, `net` left unchanged: the floor
+    `net.noise` plus, on each of the serving BS's channels, the
+    co-subcarrier transmit powers of every other BS weighted by the cross
+    gains.  Per-BS channel blocks align by position (same conceptual
+    subcarrier); a BS whose block is too short to have a channel at some
+    position adds no interference there.  The per-position sums run over
+    the BSs in ascending order."""
     pos_of = np.empty(net.num_channels, dtype=int)   # position in its block
     for chans in net.channels_of_bs:
         pos_of[chans] = np.arange(len(chans))
@@ -336,4 +336,4 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
             cross[a == w] = 0.0       # a user's own BS does not interfere
             interf[:, :len(chans)] += cross
     serving = net.bs_of_channel() == a[:, None]
-    return net.thermal_noise + np.where(serving, interf[:, pos_of], 0.0)
+    return net.noise + np.where(serving, interf[:, pos_of], 0.0)

@@ -49,9 +49,9 @@ class NetworkInstance:
     channel k; noise[i, k] the noise power in watts.  channels_of_bs[w]
     lists the disjoint global channel indices owned by BS w.
 
-    The library never writes into these tables: it rebinds them or builds
-    new ones.  So a generated instance holds its flat noise floor once, as
-    a read-only broadcast view that `noise` and `thermal_noise` share.
+    The library never writes into an instance: events build new ones.  So
+    a generated instance holds its flat noise floor once, as a read-only
+    broadcast view.
     """
 
     gain: np.ndarray              # (N, K)
@@ -63,7 +63,6 @@ class NetworkInstance:
     tau: float
     user_pos: Optional[np.ndarray] = None   # (N, 2)
     bs_pos: Optional[np.ndarray] = None     # (W, 2)
-    thermal_noise: Optional[np.ndarray] = None  # (N, K); noise floor w/o interference
     gain_mean: Optional[np.ndarray] = None      # (N, W) mean gain per link
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class NetworkInstance:
         self.budget = np.asarray(self.budget, dtype=float)
         self.weight = np.asarray(self.weight, dtype=float)
         self.bandwidth = np.asarray(self.bandwidth, dtype=float)
-        if self.thermal_noise is None:
-            self.thermal_noise = self.noise.copy()
         self.validate()
 
     @property
@@ -137,7 +134,6 @@ class NetworkInstance:
             "tau": self.tau,
             "user_pos": arr(self.user_pos),
             "bs_pos": arr(self.bs_pos),
-            "thermal_noise": arr(self.thermal_noise),
             "gain_mean": arr(self.gain_mean),
         }
         return json.dumps(payload, sort_keys=True)
@@ -165,7 +161,6 @@ class NetworkInstance:
             tau=float(d["tau"]),
             user_pos=table(d.get("user_pos"), 2),
             bs_pos=table(d.get("bs_pos"), 2),
-            thermal_noise=table(d.get("thermal_noise"), k),
             gain_mean=table(d.get("gain_mean"), w),
         )
 
@@ -258,15 +253,12 @@ def _scenario_instance(cfg: ScenarioConfig, gain: np.ndarray,
                        user_pos: np.ndarray, bs_pos: np.ndarray,
                        gain_mean: np.ndarray) -> NetworkInstance:
     """The instance both scenario generators build from their draws: flat
-    thermal noise (one read-only view, shared by `noise` and
-    `thermal_noise`), equal BS budgets, unit weights, subcarrier spacing
-    df."""
+    thermal noise (one read-only view), equal BS budgets, unit weights,
+    subcarrier spacing df."""
     w_cnt = len(chans)
-    noise = np.broadcast_to(dbm_to_watts(cfg.noise_psd_dbm_hz) * df, gain.shape)
     return NetworkInstance(
         gain=gain,
-        noise=noise,
-        thermal_noise=noise,
+        noise=np.broadcast_to(dbm_to_watts(cfg.noise_psd_dbm_hz) * df, gain.shape),
         channels_of_bs=chans,
         budget=np.full(w_cnt, dbm_to_watts(cfg.power_dbm)),
         weight=np.ones(w_cnt),

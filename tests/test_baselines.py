@@ -6,9 +6,9 @@ import pytest
 from conftest import random_network
 from ofdma_assoc import fixtures
 from ofdma_assoc.assoc_game import Evaluator, GameMode, enumerate_nes, is_ne
-from ofdma_assoc.baselines import (SearchSpaceTooLargeError, candidate_bss,
-                                   exhaustive_opt, greedy0, multi_connect_bound,
-                                   nearest_bs)
+from ofdma_assoc.baselines import (SEARCH_CAP, SearchSpaceTooLargeError,
+                                   candidate_bss, exhaustive_opt, greedy0,
+                                   multi_connect_bound, nearest_bs)
 from ofdma_assoc.net_model import NetworkInstance, SatInstance, reduce_3sat
 from ofdma_assoc.per_bs_alloc import CA, CAPA
 
@@ -65,9 +65,18 @@ class TestExhaustive:
         assert res.throughput == pytest.approx(threshold, abs=1e-9)
 
     def test_space_cap_enforced(self, rng):
-        net = random_network(rng, n_users=5, n_bss=3)
+        """24 users with 2 candidate BSs each: 2^24 profiles exceed
+        SEARCH_CAP, which is refused before any cell is looked up."""
+        net = random_network(rng, n_users=24, n_bss=2)
+        assert all(len(c) == 2 for c in candidate_bss(net))
+        assert 2 ** 24 > SEARCH_CAP
+
+        class NoCells(Evaluator):
+            def cell(self, w, users):
+                raise AssertionError("a cell was looked up")
+
         with pytest.raises(SearchSpaceTooLargeError):
-            exhaustive_opt(net, CAPA, cap=10)
+            exhaustive_opt(net, CAPA, NoCells(net, GameMode(strategy=CAPA)))
 
     def test_candidate_pruning(self, rng):
         net = random_network(rng, n_users=3, n_bss=2, chans_per_bs=[2, 2])
@@ -103,20 +112,12 @@ class TestGreedy0:
         for _ in range(30):
             net = random_network(rng)
             lo = nearest_bs(net).throughput
-            mid = greedy0(net).throughput
+            res = greedy0(net)
+            mid = res.throughput
             hi = exhaustive_opt(net).throughput
+            assert all(type(w) is int for w in res.profile)
             assert lo <= mid + 1e-9
             assert mid <= hi + 1e-9
-
-    def test_custom_start(self, rng):
-        net = random_network(rng, n_bss=2)
-        res = greedy0(net, start=[1] * net.num_users)
-        assert res.throughput >= 0.0
-
-    def test_array_start_gives_int_profile(self, rng):
-        net = random_network(rng, n_users=5, n_bss=3)
-        res = greedy0(net, start=np.zeros(net.num_users, int))
-        assert all(type(w) is int for w in res.profile)
 
 
 class TestBound:

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -415,7 +414,7 @@ class TestEvents:
 def reference_interference_noise(net, a, allocations):
     """The per-user, per-channel loop that `update_interference_noise`
     vectorizes; returns the new noise array."""
-    noise = net.thermal_noise.copy()
+    noise = net.noise.copy()
     n_sub = max(len(chans) for chans in net.channels_of_bs)
     powers = np.zeros((net.num_bss, n_sub))
     for w, alloc in allocations.items():
@@ -442,7 +441,7 @@ class TestInterference:
                       [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5)))])
             net = random_network(rng, n_users=int(rng.integers(1, 8)),
                                  n_bss=len(blocks), chans_per_bs=blocks)
-            net.thermal_noise = rng.uniform(0.5, 2.0, size=net.noise.shape)
+            net.noise = rng.uniform(0.5, 2.0, size=net.noise.shape)
             a = tuple(int(w) for w in rng.integers(0, net.num_bss, net.num_users))
             g = net.normalized_gain()
             allocs = {w: solve_capa(net, w, users, g)
@@ -544,8 +543,8 @@ class TestInterference:
 
 def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
     """Interference mode without fixed-point reuse: every round refreshes
-    the noise and builds a fresh Evaluator; rounds use `reference_step`."""
-    net = dataclasses.replace(net, noise=net.noise.copy())
+    the noise from the floor `net.noise` and builds a fresh Evaluator on
+    `net` with the new reports; rounds use `reference_step`."""
     state = init_state(net, memory_len, costs, seed)
     ev = Evaluator(net, mode)
     mechanism._record(state, ev)
@@ -553,8 +552,8 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
         allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
                   for w, users in enumerate(cells_of(net, state.profile))
                   if users}
-        net.noise = update_interference_noise(net, state.profile, allocs)
-        ev = Evaluator(net, mode)
+        noise = update_interference_noise(net, state.profile, allocs)
+        ev = Evaluator(net, mode, net.gain / noise)
         reference_step(net, state, mode, ev)
         mechanism._record(state, ev)
     return RunResult(profile=state.profile, trace=state.trace,
@@ -563,16 +562,19 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
 
 
 class _Counts:
-    """Evaluators built and refresh solves made by `mechanism.run`."""
+    """Evaluators built, the instances they were built on, and refresh
+    solves made by `mechanism.run`."""
 
     def __init__(self, monkeypatch):
         self.evaluators = self.solves = self.refreshes = 0
+        self.nets = []
         counts = self
 
         class CountingEvaluator(Evaluator):
-            def __init__(self, *args, **kwargs):
+            def __init__(self, net, *args, **kwargs):
                 counts.evaluators += 1
-                super().__init__(*args, **kwargs)
+                counts.nets.append(net)
+                super().__init__(net, *args, **kwargs)
 
         def counting_solve(*args, **kwargs):
             counts.solves += 1
@@ -608,6 +610,19 @@ class TestInterferenceFixedPoints:
             rounds += res.iterations
             assert res == reference_interference_run(net, 4, 0.0, 30, j, mode)
         assert built < rounds + 20
+
+    def test_run_builds_every_evaluator_on_the_callers_net(self, monkeypatch):
+        """An interference round is a set of reports: each new Evaluator is
+        of the caller's own instance, and `net.noise` stays the same
+        object, not a copy written by the refresh."""
+        counts = _Counts(monkeypatch)
+        net = generate(ScenarioConfig(num_users=10, num_bss=8, num_channels=64,
+                                      seed=1000))
+        noise = net.noise
+        res = run(net, 4, 0.0, 30, seed=0, interference=True)
+        assert res.iterations > 1 and counts.evaluators > 1
+        assert all(built is net for built in counts.nets)
+        assert net.noise is noise
 
     def test_fixed_point_reuses_evaluator_and_skips_refresh(self, monkeypatch):
         """Zero cross gains: the first refresh leaves the noise equal, so

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import json
 import math
 from collections import deque
 
@@ -95,6 +96,28 @@ class TestNetworkInstance:
         assert np.array_equal(back.noise, net.noise)
         assert back.tau == net.tau
         assert len(back.channels_of_bs) == len(net.channels_of_bs)
+
+    def test_loads_a_file_with_a_second_noise_table(self):
+        """Instance files once carried the noise floor a second time, as
+        `thermal_noise`; such a file loads, and writes back without it."""
+        old = (
+            '{"bandwidth": [40000000.0, 40000000.0], "bs_pos": [[0.0, 0.0], '
+            '[2.8, 0.0]], "budget": [0.19952623149688797, 0.19952623149688797], '
+            '"channels_of_bs": [[0, 1], [2, 3]], "gain": [[5.336411204647103e-14, '
+            '6.588467830641961e-14, 1.8220872979655663e-16, 1.0365598411220744e-15], '
+            '[7.829312758941767e-15, 6.654638348271323e-15, 8.127274004150456e-16, '
+            '9.419563673047328e-16]], "gain_mean": [[3.1550678331628056e-14, '
+            '1.1377524046536617e-14], [7.553906406265877e-15, 2.106250173992797e-16]], '
+            '"noise": [[4e-06, 4e-06, 4e-06, 4e-06], [4e-06, 4e-06, 4e-06, 4e-06]], '
+            '"tau": 8.137381763686783, "thermal_noise": [[4e-06, 4e-06, 4e-06, 4e-06], '
+            '[4e-06, 4e-06, 4e-06, 4e-06]], "user_pos": [[0.3891822482724945, '
+            '-1.165928165044099], [-1.7775019420975418, -1.0088727284423264]], '
+            '"weight": [1.0, 1.0]}')
+        payload = json.loads(old)
+        del payload["thermal_noise"]
+        net = NetworkInstance.from_json(old)
+        assert not hasattr(net, "thermal_noise")
+        assert net.to_json() == json.dumps(payload, sort_keys=True)
 
     def test_normalized_gain(self, rng):
         net = random_network(rng)
@@ -217,10 +240,10 @@ class TestGeneratorDigests:
     @pytest.mark.parametrize("cfg, digest", [
         (ScenarioConfig(mode="indoor", num_users=6, num_bss=3,
                         num_channels=10, seed=11),
-         "4611b84d1b8a4cf6fcf50eb56b943bd3845acb2dca16d63400ed0920c914d8b6"),
+         "0ab532e8678c38d9440263daddfdaf985e8a0fbdeb5da59ec04f74a8af4618aa"),
         (ScenarioConfig(mode="outdoor", num_users=5, num_bss=7,
                         num_channels=8, seed=11),
-         "df2641bef1b05ceccae9777cd31f85a09d86fc8243aaf4b0f7754159dcaad28b"),
+         "dd67032ee39aef21d1d4b9110fad47c564a3865deab695720426de13e83991ae"),
     ], ids=["indoor", "outdoor"])
     def test_instance_json_digest(self, cfg, digest):
         payload = generate(cfg).to_json().encode("utf-8")
@@ -229,7 +252,7 @@ class TestGeneratorDigests:
 
 def reference_indoor(cfg):
     """`gen_indoor` as a loop over BSs, with one `rng.exponential` call per
-    BS and a dense noise table (`thermal_noise` its copy)."""
+    BS and a dense noise table."""
     rng = np.random.default_rng(cfg.seed)
     user_pos, bs_pos = _indoor_positions(cfg, rng)
     chans = _split_channels(cfg.num_channels, cfg.num_bss)
@@ -308,23 +331,15 @@ class TestSharedNoiseFloor:
     @pytest.mark.parametrize("mode", ["indoor", "outdoor"])
     def test_one_read_only_buffer(self, mode):
         net = _generated(mode)
-        assert net.noise is net.thermal_noise
         assert not net.noise.flags.writeable
         assert net.noise.strides == (0, 0)
         assert net.noise.shape == net.gain.shape
         with pytest.raises(ValueError):
             net.noise[0, 0] = 1.0
 
-    def test_caller_built_noise_gets_a_private_floor(self, rng):
-        net = random_network(rng)
-        assert net.thermal_noise is not net.noise
-        assert net.thermal_noise.flags.writeable
-        assert not np.shares_memory(net.thermal_noise, net.noise)
-
     def test_deepcopy_materializes_one_table(self):
         net = _generated()
         dup = copy.deepcopy(net)
-        assert dup.noise is dup.thermal_noise
         assert dup.noise.flags.writeable and dup.noise.strides != (0, 0)
         assert dup.to_json() == net.to_json()
 
@@ -346,14 +361,13 @@ class TestSharedNoiseFloor:
             state = mechanism.init_state(net, 2, 0.0, 0)
             new = mechanism.apply_event(net, state, event)
             assert new is not net and new.noise.shape == new.gain.shape
-            assert np.array_equal(new.thermal_noise, new.noise)
             assert mechanism.run(new, 2, 0.0, 100, seed=2).trace
         copy.deepcopy(net)
         assert NetworkInstance.from_json(text).to_json() == text
         reports = inject_estimation_error(net, 0.0, np.random.default_rng(3))
         assert reports.flags.writeable and reports.shape == net.gain.shape
         assert net.to_json() == text
-        assert net.noise is noise and net.thermal_noise is noise
+        assert net.noise is noise
 
 
 class TestEstimationError:
@@ -486,7 +500,7 @@ def instances(draw):
         budget=table(1, w, POSITIVE)[0], weight=table(1, w, NONNEG)[0],
         bandwidth=table(1, w, POSITIVE)[0], tau=draw(st.floats(1.0, 10.0)),
         user_pos=optional(n, 2, NONNEG), bs_pos=optional(w, 2, NONNEG),
-        thermal_noise=optional(n, k, POSITIVE), gain_mean=optional(n, w, NONNEG))
+        gain_mean=optional(n, w, NONNEG))
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,7 +508,7 @@ def instances(draw):
 def test_json_round_trip_keeps_every_field(net):
     back = NetworkInstance.from_json(net.to_json())
     for name in ("gain", "noise", "budget", "weight", "bandwidth", "user_pos",
-                 "bs_pos", "thermal_noise", "gain_mean"):
+                 "bs_pos", "gain_mean"):
         a, b = getattr(net, name), getattr(back, name)
         assert (a is None) == (b is None), name
         if a is not None:
