@@ -49,6 +49,9 @@ class CellResult:
 class Evaluator:
     """Memoized per-cell solves and utility rows for a fixed instance /
     reports / mode.  Every query names its cell: a BS and its members.
+    The reports pass `NetworkInstance.reports`, so they are an (N, K)
+    table of finite, nonnegative entries, as the screens below and in
+    `enumerate_nes` and `baselines.exhaustive_opt` need.
 
     Each cell's row holds the users' utilities there, an entry filled the
     first time `utilities` or `better_reply_set` asks for it.
@@ -74,7 +77,7 @@ class Evaluator:
                  reports: Optional[np.ndarray] = None):
         self.net = net
         self.mode = mode
-        self.reports = net.normalized_gain() if reports is None else np.asarray(reports, float)
+        self.reports = net.reports(reports)
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
         self._bounds: Optional[List[List[float]]] = None
 
@@ -175,13 +178,13 @@ class Evaluator:
     def utility_bounds(self) -> List[List[float]]:
         """The (W, N) table U[w][i] of single-user bounds (see the class
         docstring), built on first use in one NumPy pass.  A BS without
-        channels caps at 0.  A NaN or negative report, or bandwidth, voids
+        channels caps at 0.  A negative bandwidth, possible only on an
+        instance whose bandwidths were rebound after it was built, voids
         the argument, and every bound is then +inf."""
         if self._bounds is None:
             net, reports = self.net, self.reports
             shape = (net.num_bss, net.num_users)
-            if (np.isnan(reports).any() or (reports < 0).any()
-                    or not (net.bandwidth >= 0).all()):
+            if not (net.bandwidth >= 0).all():
                 bounds = np.full(shape, math.inf)
             else:
                 best = np.zeros(shape)
@@ -304,10 +307,7 @@ def enumerate_nes(net: NetworkInstance, mode: GameMode,
 
     Every profile's system value comes from one table of cell values (see
     `_profile_values`).  `is_ne` decides each NE; in the taxed game it sees
-    only the profiles that pass the potential screen of `_dominated`.  The
-    screen needs utilities that are differences of cell values, which a NaN
-    report breaks (it is no contender, yet it changes a cell), so NaN
-    reports turn it off."""
+    only the profiles that pass the potential screen of `_dominated`."""
     n, w_cnt = net.num_users, net.num_bss
     size = w_cnt ** n
     if size > ENUM_CAP:
@@ -317,7 +317,7 @@ def enumerate_nes(net: NetworkInstance, mode: GameMode,
     keep = itertools.repeat(True)
     if size > 1:
         values, scale = _profile_values(ev, n, w_cnt)
-        if mode.taxed and not np.isnan(ev.reports).any():
+        if mode.taxed:
             keep = (~_dominated(values, scale, n, w_cnt)).tolist()
     else:                         # no user or at most one BS: nothing to tabulate
         profiles = list(profiles)
@@ -368,13 +368,12 @@ def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
     upper users (bits below and from N // 2), each half tabulated for all
     its masks by `_mask_winners`.  Every upper user is above every lower
     one, so it takes a channel only with a strictly larger report, as
-    argmax's lowest-index rule gives it.  A NaN report breaks that rule
-    (argmax takes the first NaN), so such a BS, and one without channels,
-    is left to `ev.cell`."""
+    argmax's lowest-index rule gives it.  A BS without channels is left to
+    `ev.cell`."""
     chans = ev.net.channels_of_bs[w]
-    sub = ev.reports[:, chans]
-    if not len(chans) or np.isnan(sub).any():
+    if not len(chans):
         return
+    sub = ev.reports[:, chans]
     low = sub.shape[0] // 2
     low_beta, low_best = _mask_winners(sub[:low])
     high_beta, high_best = _mask_winners(sub[low:])
@@ -425,8 +424,7 @@ def _dominated(values: np.ndarray, scale: float, n: int,
     cell's marginal value, so a move changes the mover's utility by exactly
     the change in system value, over the same cell values.  A NE admits no
     move gaining more than STRICT_TOL, and the slack is far above that plus
-    the rounding of a W-term sum, so no NE is dominated.  A NaN comparison
-    dominates nothing."""
+    the rounding of a W-term sum, so no NE is dominated."""
     phi = values.reshape((w_cnt,) * n)
     bar = phi + 1e-9 * (1.0 + scale)
     out = np.zeros(phi.shape, dtype=bool)

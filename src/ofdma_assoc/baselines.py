@@ -9,7 +9,7 @@ import numpy as np
 
 from .assoc_game import STRICT_TOL, Evaluator, GameMode, _eval, mask_members
 from .mechanism import nearest_bs_profile
-from .net_model import InvalidArgumentError, NetworkInstance
+from .net_model import NetworkInstance
 from .per_bs_alloc import CAPA, cells_of
 
 SEARCH_CAP = 10 ** 7
@@ -38,8 +38,8 @@ def candidate_bss(net: NetworkInstance,
                   reports: Optional[np.ndarray] = None) -> List[List[int]]:
     """Per-user candidate BS lists: BSs where all the user's reports are
     zero are pruned, unless the user reports zero everywhere.  `reports`
-    defaults to the true normalized gains."""
-    g = net.normalized_gain() if reports is None else reports
+    (the true normalized gains by default) pass `NetworkInstance.reports`."""
+    g = net.reports(reports)
     out = []
     for i in range(net.num_users):
         cands = [w for w, chans in enumerate(net.channels_of_bs)
@@ -84,10 +84,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     values, the unions included, are kept per BS by member bitmask;
     `ev.cell` solves only the cells not yet seen."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
-    reports = ev.reports
-    if np.isnan(reports).any() or (reports < 0).any():
-        raise InvalidArgumentError("the search bound needs non-negative reports")
-    cands = candidate_bss(net, reports)
+    cands = candidate_bss(net, ev.reports)
     space = 1
     for c in cands:
         space *= len(c)

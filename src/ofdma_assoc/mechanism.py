@@ -273,8 +273,11 @@ def apply_event(net: NetworkInstance, state: MechanismState,
             if not 0 <= j < net.num_users:
                 raise InvalidArgumentError(f"unknown user {j}")
         keep = [i for i in range(net.num_users) if i not in idx]
+        # a floor shared by every user (row stride 0) stays one shared row
+        noise = (np.broadcast_to(net.noise[:1], (len(keep), net.num_channels))
+                 if net.noise.strides[0] == 0 else net.noise[keep])
         new_net = dataclasses.replace(
-            net, gain=net.gain[keep], noise=net.noise[keep],
+            net, gain=net.gain[keep], noise=noise,
             user_pos=_rows(net.user_pos, keep),
             gain_mean=_rows(net.gain_mean, keep))
         state.profile = tuple(state.profile[i] for i in keep)

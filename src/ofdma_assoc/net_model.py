@@ -30,6 +30,11 @@ class InvalidArgumentError(ValueError):
     """Raised when an operation receives an out-of-contract argument."""
 
 
+def _finite_nonnegative(a: np.ndarray) -> bool:
+    """All entries in [0, inf); min and max propagate NaN, so NaN fails."""
+    return a.min(initial=0.0) >= 0 and a.max(initial=0.0) < math.inf
+
+
 def capacity_gap(ber: float) -> float:
     """SNR gap tau = -ln(5*BER)/1.5 for a target bit error rate."""
     if not 0.0 < ber < 0.2:
@@ -47,7 +52,10 @@ class NetworkInstance:
 
     gain[i, k] is the linear channel power gain |h|^2 of user i on global
     channel k; noise[i, k] the noise power in watts.  channels_of_bs[w]
-    lists the disjoint global channel indices owned by BS w.
+    lists the disjoint global channel indices owned by BS w.  Gains are
+    finite and nonnegative and noise powers positive, so the true
+    normalized gains are reports of the one kind the game takes (see
+    `reports`).
 
     The library never writes into an instance: events build new ones.  So
     a generated instance holds its flat noise floor once, as a read-only
@@ -95,11 +103,11 @@ class NetworkInstance:
             raise InvalidArgumentError("channel sets of BSs overlap")
         if sorted(seen.tolist()) != list(range(k)):
             raise InvalidArgumentError("channel sets do not partition all channels")
-        if np.any(self.gain < 0):
-            raise InvalidArgumentError("negative channel gain")
-        if np.any(self.noise <= 0):
-            raise InvalidArgumentError("noise powers must be strictly positive")
+        if not _finite_nonnegative(self.gain):
+            raise InvalidArgumentError("channel gains must be finite and nonnegative")
         # written as "not (x >= 0)" so that NaN fails too
+        if not (self.noise > 0).all():
+            raise InvalidArgumentError("noise powers must be strictly positive")
         if not (self.budget > 0).all():
             raise InvalidArgumentError("power budgets must be strictly positive")
         if not (self.weight >= 0).all():
@@ -112,6 +120,16 @@ class NetworkInstance:
     def normalized_gain(self) -> np.ndarray:
         """True normalized gains |h|^2 / n, the quantity users report."""
         return self.gain / self.noise
+
+    def reports(self, reports: Optional[np.ndarray] = None) -> np.ndarray:
+        """The reports a game on this instance is played on, by default the
+        true normalized gains: an (N, K) float table of finite, nonnegative
+        entries, as users report |h|^2 / n.  Any other table is refused."""
+        r = self.normalized_gain() if reports is None else np.asarray(reports, dtype=float)
+        if r.shape != self.gain.shape or not _finite_nonnegative(r):
+            raise InvalidArgumentError(
+                f"reports must be finite and nonnegative, of shape {self.gain.shape}")
+        return r
 
     def bs_of_channel(self) -> np.ndarray:
         owner = np.empty(self.num_channels, dtype=int)
@@ -140,7 +158,12 @@ class NetworkInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
+        """The instance `to_json` wrote; an unknown key is an error, but the
+        second noise table of older files, `thermal_noise`, is read past."""
         d = json.loads(text)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)} - {"thermal_noise"})
+        if unknown:
+            raise InvalidArgumentError(f"unknown instance keys {unknown}")
         chans = [np.asarray(c, int) for c in d["channels_of_bs"]]
         k, w = sum(len(c) for c in chans), len(chans)
 
@@ -373,14 +396,22 @@ def generate(cfg: ScenarioConfig, rng: Optional[np.random.Generator] = None) -> 
     return (gen_indoor if cfg.mode == "indoor" else gen_outdoor)(cfg, rng)
 
 
+def _check_cer(cer_db: float) -> None:
+    """Refuse a channel error ratio of NaN or -inf (+inf is error-free)."""
+    if not cer_db > -math.inf:
+        raise InvalidArgumentError(
+            f"channel error ratio must be finite or +inf, got {cer_db}")
+
+
 def inject_estimation_error(net: NetworkInstance, cer_db: float,
                             rng: np.random.Generator) -> np.ndarray:
     """Perturb the true normalized gains with zero-mean Gaussian estimation
     error whose variance is set per channel by the channel error ratio
-    CER = 10*log10(g / sigma^2).  cer_db = +inf means error-free reports.
-    Perturbed gains are clamped at zero."""
+    CER = 10*log10(g / sigma^2).  cer_db = +inf means error-free reports;
+    NaN and -inf are refused.  Perturbed gains are clamped at zero."""
+    _check_cer(cer_db)
     g = net.normalized_gain()
-    if math.isinf(cer_db):
+    if cer_db == math.inf:
         return g.copy()
     var = g / (10.0 ** (cer_db / 10.0))
     eps = rng.normal(0.0, 1.0, size=g.shape) * np.sqrt(var)

@@ -77,7 +77,8 @@ def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
     beta, best = _best_user_per_channel(reports, users, chans)
-    power = np.full(len(chans), net.budget[w] / len(chans))
+    # a BS without channels gets an empty power vector, not a 1/0 warning
+    power = np.full(len(chans), net.budget[w] / max(len(chans), 1))
     return Allocation(bs=w, channels=chans, beta=beta, power=power,
                       best=best, held=beta)
 

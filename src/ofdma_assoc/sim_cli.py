@@ -24,8 +24,8 @@ from . import baselines, mechanism
 from .assoc_game import Evaluator, GameMode
 from .baselines import SearchSpaceTooLargeError
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
-                        ScenarioConfig, generate, inject_estimation_error,
-                        reduce_3sat)
+                        ScenarioConfig, _check_cer, generate,
+                        inject_estimation_error, reduce_3sat)
 from .per_bs_alloc import (CAPA, STRATEGIES, cells_of, realized_rates,
                            solve_cell)
 
@@ -53,8 +53,11 @@ class Campaign:
                 raise InvalidArgumentError(f"unknown algorithm {alg!r}")
         if self.strategy not in STRATEGIES:
             raise InvalidArgumentError(f"unknown strategy {self.strategy!r}")
-        # the rule `run` applies, checked before any point runs
+        # the rules `run` and `inject_estimation_error` apply, checked
+        # before any point runs
         mechanism._costs(self.cost_values, len(self.cost_values))
+        for cer in self.cer_values:
+            _check_cer(cer)
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -55,9 +55,10 @@ def tax(net: NetworkInstance, a: Sequence[int], i: int, reports,
 def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
             strategy: str) -> UserOutcome:
     """Realized rate (true channels, allocation from reports), reported-side
-    tax, and the quasilinear utility alpha*rate - tax."""
+    tax, and the quasilinear utility alpha*rate - tax.  `reports` (None for
+    the true normalized gains) pass `NetworkInstance.reports`."""
     w = a[i]
-    values = net.normalized_gain() if reports is None else np.asarray(reports, float)
+    values = net.reports(reports)
     users = cells_of(net, a)[w]
     without_i = _reported_cell_sum(net, w, users - {i}, values, strategy)
     return _outcome(net, w, users, i, values, strategy, without_i)

@@ -136,6 +136,24 @@ class TestCampaign:
                   "--cost-values", ",".join(map(str, costs))])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cers", [(math.nan,), (math.inf, -math.inf)])
+    def test_bad_cer_rejected_when_built(self, cers, tmp_path):
+        """A NaN or -inf channel error ratio is refused before any point
+        runs, from the constructor, a manifest or the command line; it
+        wrote a NaN row with no error, or error-free numbers labelled
+        `inf`."""
+        with pytest.raises(InvalidArgumentError, match="channel error ratio"):
+            small_campaign(cer_values=cers)
+        payload = json.loads(small_campaign().to_json())
+        payload["cer_values"] = list(cers)
+        with pytest.raises(InvalidArgumentError, match="channel error ratio"):
+            Campaign.from_json(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match="channel error ratio"):
+            main(["campaign", "--users", "3", "--bss", "2", "--channels", "8",
+                  "--seed", "0", "--outdir", str(tmp_path / "out"),
+                  "--cer-values", ",".join(map(str, cers))])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cost", ["nan", "-1.0"])
     def test_bad_run_cost_rejected(self, cost):
         with pytest.raises(InvalidArgumentError, match="switching costs"):

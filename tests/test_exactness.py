@@ -10,6 +10,7 @@ could change a run.
 import dataclasses
 import itertools
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -569,23 +570,18 @@ def test_exhaustive_matches_reference(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_enumeration_matches_reference(strategy, taxed):
     """Same NE list, values (types included) and optimum as the scan that
-    called `is_ne` on every profile, also with a NaN report and with a
-    shared, already warm Evaluator."""
+    called `is_ne` on every profile, also with a shared, already warm
+    Evaluator."""
     rng = np.random.default_rng(32)
     mode = GameMode(strategy=strategy, taxed=taxed)
     nets = ([_network(rng) for _ in range(120)]
             + _generated(6, 3, 24, 4, 700) + [_no_users()])
-    for j, net in enumerate(nets):
-        reports = None
-        if j % 7 == 0 and net.num_users:
-            reports = net.normalized_gain().copy()
-            reports.flat[int(rng.integers(0, reports.size))] = math.nan
-        ev = Evaluator(net, mode, reports)
-        with np.errstate(invalid="ignore"):
-            got = assoc_game.enumerate_nes(net, mode, ev)
-            ref = ref_enumerate_nes(net, mode, Evaluator(net, mode, reports))
-            assert repr(got) == repr(ref)
-            assert repr(assoc_game.enumerate_nes(net, mode, ev)) == repr(ref)
+    for net in nets:
+        ev = Evaluator(net, mode)
+        got = assoc_game.enumerate_nes(net, mode, ev)
+        ref = ref_enumerate_nes(net, mode, Evaluator(net, mode))
+        assert repr(got) == repr(ref)
+        assert repr(assoc_game.enumerate_nes(net, mode, ev)) == repr(ref)
 
 
 @settings(max_examples=300, deadline=None)
@@ -754,17 +750,23 @@ def test_exhaustive_solves_fewer_cells(monkeypatch):
 
 def test_enumeration_solves_cells_in_batches(monkeypatch):
     """The table's cells come from batched solves, not one `solve_cell`
-    each; a BS with a NaN report keeps the per-cell path for its 2^6 - 1
-    non-empty cells."""
-    net = _generated(6, 3, 24, 1, 43)[0]
+    each; a BS without channels keeps the per-cell path for its 2^6 - 1
+    non-empty cells, with the reference's result and no warning."""
+    batched = _generated(6, 3, 24, 1, 43)[0]
+    blocks = generate(ScenarioConfig(num_users=6, num_bss=3, num_channels=2,
+                                     seed=4))
+    assert [len(c) for c in blocks.channels_of_bs] == [1, 1, 0]
     counts = _CountingSolves(monkeypatch)
-    assoc_game.enumerate_nes(net, GameMode())
-    assert counts.solves == 0
-    reports = net.normalized_gain().copy()
-    reports[2, net.channels_of_bs[1][0]] = math.nan
-    with np.errstate(invalid="ignore"):
-        assoc_game.enumerate_nes(net, GameMode(), Evaluator(net, GameMode(), reports))
-    assert counts.solves == 2 ** 6 - 1
+    for mode in (GameMode(), GameMode(taxed=False), GameMode(strategy=CA)):
+        counts.solves = 0
+        assoc_game.enumerate_nes(batched, mode)
+        assert counts.solves == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assoc_game.enumerate_nes(blocks, mode)
+            assert counts.solves == 2 ** 6 - 1
+            ref = ref_enumerate_nes(blocks, mode, Evaluator(blocks, mode))
+        assert repr(got) == repr(ref)
 
 
 def test_enumeration_screens_is_ne_calls(monkeypatch):
@@ -785,12 +787,13 @@ def test_enumeration_screens_is_ne_calls(monkeypatch):
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan])
 def test_exhaustive_rejects_reports_the_bound_cannot_take(bad):
+    """The search bound needs finite, nonnegative reports; an Evaluator on
+    any other is refused when built, so no search can be handed one."""
     net = _generated(3, 2, 4, 1, 45)[0]
     reports = net.normalized_gain().copy()
     reports[1, 2] = bad
-    ev = Evaluator(net, GameMode(), reports)
-    with pytest.raises(InvalidArgumentError):
-        baselines.exhaustive_opt(net, CAPA, ev)
+    with pytest.raises(InvalidArgumentError, match="reports"):
+        Evaluator(net, GameMode(), reports)
 
 
 # -- the single-user bound and the screened better replies ------------------
@@ -892,9 +895,9 @@ def full_row_replies(net, a, ev, margins):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_screened_replies_match_full_rows(strategy, taxed):
     """On fresh and on warm Evaluators, with zero and positive margins,
-    on reports with estimation error, and with a NaN or negative report
-    or negative bandwidths (each turns the screen off), the screened
-    lists are those read from full rows."""
+    on reports with estimation error, and with negative bandwidths (which
+    turn the screen off), the screened lists are those read from full
+    rows."""
     rng = np.random.default_rng(17)
     mode = GameMode(strategy=strategy, taxed=taxed)
     nets = [_network(rng) for _ in range(100)] + _generated(8, 4, 32, 6, 900)
@@ -903,17 +906,13 @@ def test_screened_replies_match_full_rows(strategy, taxed):
         reports = None
         if j % 4 == 1:
             reports = inject_estimation_error(net, 0.0, rng)
-        elif j % 4 == 2:
-            reports = net.normalized_gain().copy()
-            reports.flat[int(rng.integers(0, reports.size))] = (
-                math.nan if j % 8 == 2 else -0.5)
         elif j % 8 == 3:
             # `validate` refuses negative bandwidths; the screen still
             # guards an instance whose bandwidths were rebound after
             net = dataclasses.replace(net)
             net.bandwidth = -net.bandwidth
         screened, full = (Evaluator(net, mode, reports) for _ in range(2))
-        if j % 4 == 2 or j % 8 == 3:
+        if j % 8 == 3:
             assert all(math.isinf(u) for row in screened.utility_bounds()
                        for u in row)
         scale = max(1.0, screened.system_value((0,) * n) / max(n, 1))
@@ -922,10 +921,9 @@ def test_screened_replies_match_full_rows(strategy, taxed):
             for margins in ([0.0] * n,
                             (scale * rng.uniform(0.0, 0.5, n)).tolist(),
                             (scale * rng.choice([0.0, 1e-3, 0.2], n)).tolist()):
-                with np.errstate(invalid="ignore"):
-                    got = assoc_game.better_reply_set(net, a, mode, screened,
-                                                      margins)
-                    assert got == full_row_replies(net, a, full, margins)
+                got = assoc_game.better_reply_set(net, a, mode, screened,
+                                                  margins)
+                assert got == full_row_replies(net, a, full, margins)
 
 
 @pytest.mark.parametrize("taxed", [True, False])

@@ -68,6 +68,7 @@ class TestNetworkInstance:
         ("gain", -1.0), ("noise", 0.0), ("budget", 0.0), ("tau", 0.5),
         ("budget", math.nan), ("weight", -1.0), ("weight", math.nan),
         ("bandwidth", -1.0), ("bandwidth", math.nan), ("tau", math.nan),
+        ("gain", math.nan), ("gain", math.inf), ("noise", math.nan),
     ])
     def test_invalid_numbers_rejected(self, rng, field, value):
         net = random_network(rng)
@@ -118,6 +119,14 @@ class TestNetworkInstance:
         net = NetworkInstance.from_json(old)
         assert not hasattr(net, "thermal_noise")
         assert net.to_json() == json.dumps(payload, sort_keys=True)
+
+    def test_unknown_key_rejected(self):
+        """A misspelt key loaded as a missing field: `user_poss` gave
+        `user_pos=None`."""
+        payload = json.loads(_generated().to_json())
+        payload["user_poss"] = payload.pop("user_pos")
+        with pytest.raises(InvalidArgumentError, match="user_poss"):
+            NetworkInstance.from_json(json.dumps(payload))
 
     def test_normalized_gain(self, rng):
         net = random_network(rng)
@@ -343,6 +352,17 @@ class TestSharedNoiseFloor:
         assert dup.noise.flags.writeable and dup.noise.strides != (0, 0)
         assert dup.to_json() == net.to_json()
 
+    def test_removing_users_keeps_one_row(self):
+        """`RemoveUsers` made the floor a dense N x K table."""
+        net = _generated()
+        state = mechanism.init_state(net, 2, 0.0, 0)
+        new = mechanism.apply_event(net, state, mechanism.RemoveUsers([0, 3]))
+        assert new.noise.strides == (0, 0) and not new.noise.flags.writeable
+        assert np.array_equal(new.noise, net.noise[[1, 2, 4, 5, 6, 7]])
+        state = mechanism.init_state(new, 2, 0.0, 0)
+        gone = mechanism.apply_event(new, state, mechanism.RemoveUsers(range(6)))
+        assert gone.noise.shape == (0, net.num_channels)
+
     def test_library_calls_leave_the_instance_unchanged(self):
         """Each call works on a generated instance, and the instance keeps
         its arrays and their values."""
@@ -389,6 +409,12 @@ class TestEstimationError:
         target_var = 4.0 / 10.0 ** (cer / 10.0)
         assert err.mean() == pytest.approx(0.0, abs=3 * math.sqrt(target_var / (n * k)))
         assert err.var() == pytest.approx(target_var, rel=0.05)
+
+    @pytest.mark.parametrize("cer", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_rejected(self, rng, cer):
+        """NaN gave all-NaN reports and -inf error-free ones."""
+        with pytest.raises(InvalidArgumentError, match="channel error ratio"):
+            inject_estimation_error(random_network(rng), cer, rng)
 
     def test_clamped_nonnegative(self, rng):
         net = random_network(rng, n_users=5)
