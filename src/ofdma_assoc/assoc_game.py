@@ -71,7 +71,13 @@ class Evaluator:
     round a few ulps above U where the bound is exact (one channel, an
     empty cell), hence the slack of `better_reply_set`.  The table is
     built the first time `better_reply_set` needs it, so an Evaluator used
-    only for values never pays for it."""
+    only for values never pays for it.
+
+    `_rounds` keeps DBSA's rounds (see `mechanism.step`): per profile and
+    switching costs, a `[values, replies]` slot of the trace values and
+    the better replies, each filled on first use.  With the reports fixed,
+    they depend on nothing else and are never dropped; `better_reply_set`
+    and `is_ne` keep nothing per profile."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
                  reports: Optional[np.ndarray] = None):
@@ -80,6 +86,7 @@ class Evaluator:
         self.reports = net.reports(reports)
         self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
         self._bounds: Optional[List[List[float]]] = None
+        self._rounds: Dict[Tuple[Tuple[int, ...], Tuple[float, ...]], List] = {}
 
     def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
         key = (w, users)

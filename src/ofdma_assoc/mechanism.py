@@ -28,44 +28,9 @@ class TraceRecord:
     event: Optional[str] = None
 
 
-class _RoundMemo:
-    """Per profile visited under one `Evaluator` and one margins list: the
-    trace values `(bs_throughput, throughput)` and the better replies, each
-    filled on first use.  Both depend on nothing else: an Evaluator's
-    reports are fixed when it is built, and a cached cell never changes."""
-
-    __slots__ = ("ev", "margins", "entries")
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.ev: Optional[Evaluator] = None
-        self.margins: List[float] = []
-        self.entries: Dict[Tuple[int, ...], List] = {}
-
-    def entry(self, ev: Evaluator, costs: np.ndarray,
-              profile: Tuple[int, ...]) -> List:
-        """The `[values, replies]` slot of `profile`, after dropping every
-        entry if `ev` is not the memo's Evaluator object or `costs` are not
-        its margins."""
-        margins = costs.tolist()
-        if ev is not self.ev or margins != self.margins:
-            self.clear()
-            self.ev, self.margins = ev, margins
-        slot = self.entries.get(profile)
-        if slot is None:
-            slot = self.entries[profile] = [None, None]
-        return slot
-
-
 @dataclass
 class MechanismState:
-    """A DBSA run in progress.  `_memo` holds each visited profile's trace
-    values and better replies under the last Evaluator that `step` or
-    `_record` saw and the costs at the time; it is dropped when either
-    changes, and by `apply_event`, so it never changes a result.  It grows
-    by at most one profile per round, as the trace does."""
+    """A DBSA run in progress."""
     profile: Tuple[int, ...]
     memories: List[Deque[int]]
     costs: np.ndarray
@@ -74,8 +39,6 @@ class MechanismState:
     iteration: int = 0
     trace: List[TraceRecord] = field(default_factory=list)
     stable: int = 0               # rounds since the profile last changed
-    _memo: _RoundMemo = field(default_factory=_RoundMemo, init=False,
-                              repr=False, compare=False)
 
 
 # -- events ------------------------------------------------------------------
@@ -140,8 +103,18 @@ def init_state(net: NetworkInstance, memory_len: int,
                           rng=np.random.default_rng(seed))
 
 
+def _round(ev: Evaluator, state: MechanismState) -> List:
+    """The `[values, replies]` slot that `ev` keeps for a round from
+    `state`'s profile under its costs (see `Evaluator`)."""
+    key = (state.profile, tuple(state.costs.tolist()))
+    slot = ev._rounds.get(key)
+    if slot is None:
+        slot = ev._rounds[key] = [None, None]
+    return slot
+
+
 def _record(state: MechanismState, ev: Evaluator) -> None:
-    slot = state._memo.entry(ev, state.costs, state.profile)
+    slot = _round(ev, state)
     if slot[0] is None:
         per_bs = tuple(ev.cell(w, s).value
                        for w, s in enumerate(cells_of(ev.net, state.profile)))
@@ -164,16 +137,15 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     the same state, as one scalar call per bound.
 
     The better replies of a profile are asked of `better_reply_set` once
-    per `Evaluator` object and costs: `state` keeps them until `step` sees
-    another Evaluator (a new one each call when `evaluator` is None) or
-    other `state.costs`, and they depend on nothing else."""
+    per `Evaluator` object and costs: the Evaluator keeps them (a new one
+    is built each call when `evaluator` is None)."""
     ev = _eval(net, mode, evaluator)
     a = state.profile
-    slot = state._memo.entry(ev, state.costs, a)
+    slot = _round(ev, state)
     replies = slot[1]
     if replies is None:
         replies = slot[1] = tuple(map(tuple, better_reply_set(
-            net, a, mode, ev, state._memo.margins)))
+            net, a, mode, ev, state.costs.tolist())))
     highs: List[int] = []
     for br, mem in zip(replies, state.memories):
         if br:
@@ -216,10 +188,10 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     `assoc_game._eval`).  Interference mode makes its own reports, so takes
     none.
 
-    Each round is one `step` and one `_record`; a profile the run visits
-    again under the same `Evaluator` reuses its better replies and trace
-    values (see `step`), and each new Evaluator of the interference refresh
-    starts them afresh."""
+    Each round is one `step` and one `_record`; a profile visited again
+    under the same `Evaluator` and costs, in this run or an earlier one on
+    the shared `evaluator`, reuses the better replies and trace values the
+    Evaluator keeps (see `step`)."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
     if interference and evaluator is not None:
@@ -309,7 +281,6 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     else:
         raise InvalidArgumentError(f"unknown event {event!r}")
     state.stable = 0
-    state._memo.clear()
     if state.trace:
         state.trace[-1].event = label
     return new_net

@@ -9,7 +9,7 @@ nats/s unless a bandwidth rescaling says otherwise.
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,9 +53,9 @@ class NetworkInstance:
     gain[i, k] is the linear channel power gain |h|^2 of user i on global
     channel k; noise[i, k] the noise power in watts.  channels_of_bs[w]
     lists the disjoint global channel indices owned by BS w.  Gains are
-    finite and nonnegative and noise powers positive, so the true
-    normalized gains are reports of the one kind the game takes (see
-    `reports`).
+    finite and nonnegative, noise powers positive and each quotient
+    finite, so the true normalized gains are reports of the one kind the
+    game takes (see `reports`).
 
     The library never writes into an instance: events build new ones.  So
     a generated instance holds its flat noise floor once, as a read-only
@@ -108,6 +108,10 @@ class NetworkInstance:
         # written as "not (x >= 0)" so that NaN fails too
         if not (self.noise > 0).all():
             raise InvalidArgumentError("noise powers must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not self.normalized_gain().max(initial=0.0) < math.inf:
+                raise InvalidArgumentError(
+                    "normalized gains |h|^2 / n must be finite")
         if not (self.budget > 0).all():
             raise InvalidArgumentError("power budgets must be strictly positive")
         if not (self.weight >= 0).all():
@@ -158,12 +162,17 @@ class NetworkInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkInstance":
-        """The instance `to_json` wrote; an unknown key is an error, but the
-        second noise table of older files, `thermal_noise`, is read past."""
+        """The instance `to_json` wrote; an unknown or missing key is an
+        error, but the second noise table of older files, `thermal_noise`,
+        is read past."""
         d = json.loads(text)
         unknown = sorted(set(d) - {f.name for f in fields(cls)} - {"thermal_noise"})
         if unknown:
             raise InvalidArgumentError(f"unknown instance keys {unknown}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in d]
+        if missing:
+            raise InvalidArgumentError(f"missing instance keys {missing}")
         chans = [np.asarray(c, int) for c in d["channels_of_bs"]]
         k, w = sum(len(c) for c in chans), len(chans)
 

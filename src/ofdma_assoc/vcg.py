@@ -7,10 +7,11 @@ sampler doubles as the strategy-proofness oracle.
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Sequence
+from typing import FrozenSet, Sequence
 
 import numpy as np
 
+from .assoc_game import Evaluator, GameMode
 from .net_model import InvalidArgumentError, NetworkInstance
 from .per_bs_alloc import cells_of, realized_rates, reported_rates, solve_cell
 
@@ -22,21 +23,14 @@ class UserOutcome:
     utility: float
 
 
-def _reported_cell_sum(net: NetworkInstance, w: int, users: Iterable[int],
-                       values: np.ndarray, strategy: str) -> float:
-    """Sum of reported rates in cell w."""
-    if not users:
-        return 0.0
-    alloc = solve_cell(net, w, users, values, strategy)
-    return sum(reported_rates(net, alloc).values())
-
-
 def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
              values: np.ndarray, strategy: str, without_i: float) -> UserOutcome:
     """User i's outcome in cell w from one solve on the reports: realized
     rate, the tax alpha * (without_i - reported rates of the others), and
     the quasilinear utility alpha * rate - tax.  `without_i` is the reported
-    rate sum of the cell without user i."""
+    rate sum of the cell without user i, read from an `Evaluator`'s cached
+    cell: its rates are the solve's reported rates plus zeros, so the sum
+    is the same float."""
     alpha = net.weight[w]
     alloc = solve_cell(net, w, users, values, strategy)
     rate = realized_rates(net, alloc, users).get(i, 0.0)
@@ -58,10 +52,10 @@ def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
     tax, and the quasilinear utility alpha*rate - tax.  `reports` (None for
     the true normalized gains) pass `NetworkInstance.reports`."""
     w = a[i]
-    values = net.reports(reports)
+    ev = Evaluator(net, GameMode(strategy), reports)
     users = cells_of(net, a)[w]
-    without_i = _reported_cell_sum(net, w, users - {i}, values, strategy)
-    return _outcome(net, w, users, i, values, strategy, without_i)
+    without_i = sum(ev.cell(w, users - {i}).rates.values())
+    return _outcome(net, w, users, i, ev.reports, strategy, without_i)
 
 
 def _misreport_row(true_row: np.ndarray, net: NetworkInstance,
@@ -93,11 +87,12 @@ def misreport_search(net: NetworkInstance, a: Sequence[int], i: int,
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    truthful = net.normalized_gain()
+    ev = Evaluator(net, GameMode(strategy))
+    truthful = ev.reports
     w = a[i]
     users = cells_of(net, a)[w]
     # the drop-out term of the tax does not depend on user i's report
-    without_i = _reported_cell_sum(net, w, users - {i}, truthful, strategy)
+    without_i = sum(ev.cell(w, users - {i}).rates.values())
     truthful_u = _outcome(net, w, users, i, truthful, strategy,
                           without_i).utility
     mates = sorted(users - {i})

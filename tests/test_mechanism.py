@@ -714,9 +714,32 @@ class TestRoundMemo:
             queries += len(calls)
         assert 2 * queries < rounds
 
+    def test_runs_sharing_an_evaluator_ask_only_for_new_profiles(
+            self, monkeypatch):
+        """A second run on the same Evaluator and costs asks
+        `better_reply_set` only for the profiles the first run did not
+        start a round from, and ends as a run on a fresh Evaluator."""
+        calls = _count_better_replies(monkeypatch)
+        rng = np.random.default_rng(8)
+        reused = 0
+        for _ in range(10):
+            net = random_network(rng, n_users=5, n_bss=3)
+            ev = Evaluator(net, GameMode())
+            seeds = rng.integers(10 ** 6, size=2).tolist()
+            first = run(net, 5, 0.0, 300, seeds[0], evaluator=ev)
+            del calls[:]
+            second = run(net, 5, 0.0, 300, seeds[1], evaluator=ev)
+            seen = {rec.profile for rec in first.trace[:-1]}
+            visited = {rec.profile for rec in second.trace[:-1]}
+            assert sorted(calls) == sorted(visited - seen)
+            assert second == run(net, 5, 0.0, 300, seeds[1])
+            reused += len(visited & seen)
+        assert reused > 0
+
     def test_new_evaluator_or_costs_ask_again(self, monkeypatch):
-        """Another Evaluator object, or changed costs, drop the replies
-        `state` kept; the same Evaluator and costs reuse them."""
+        """Another Evaluator object, or changed costs, ask again: the
+        replies are kept per Evaluator and costs, and the same Evaluator
+        and costs reuse them."""
         calls = _count_better_replies(monkeypatch)
         net = positioned_network()
         mode = GameMode()
@@ -769,9 +792,8 @@ def test_event_sequences_stay_aligned_and_exact(seed, strategy, taxed, ops):
         if kind == "step":         # one to four rounds
             for _ in range(1 + x % 4):
                 ref = copy.deepcopy(state)
-                ref._memo.clear()
                 step(net, state, mode, ev)
-                step(net, ref, mode, ev)
+                step(net, ref, mode, Evaluator(net, mode, ev.reports))
                 assert _same_state(state, ref)
             continue
         if kind == "cost":

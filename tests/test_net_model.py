@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 from collections import deque
 
 import hypothesis.strategies as st
@@ -127,6 +128,26 @@ class TestNetworkInstance:
         payload["user_poss"] = payload.pop("user_pos")
         with pytest.raises(InvalidArgumentError, match="user_poss"):
             NetworkInstance.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("key", ["gain", "noise", "channels_of_bs",
+                                     "budget", "weight", "bandwidth", "tau"])
+    def test_missing_key_rejected(self, key):
+        """A missing required key raised a bare `KeyError`."""
+        payload = json.loads(_generated().to_json())
+        del payload[key]
+        with pytest.raises(InvalidArgumentError, match=key):
+            NetworkInstance.from_json(json.dumps(payload))
+
+    def test_overflowing_normalized_gain_rejected(self):
+        """Finite gains over positive noise whose quotient overflows built,
+        and only the first `Evaluator` on the instance failed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                NetworkInstance(gain=[[1e300, 1.0]], noise=[[1e-10, 1.0]],
+                                channels_of_bs=[[0], [1]], budget=np.ones(2),
+                                weight=np.ones(2), bandwidth=np.ones(2),
+                                tau=1.0)
 
     def test_normalized_gain(self, rng):
         net = random_network(rng)
