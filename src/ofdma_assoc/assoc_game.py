@@ -4,11 +4,12 @@ ratios.
 
 Cell values depend on the association profile only through the set of
 users in the cell, so an Evaluator memoizes per-(BS, user-set) solves;
-enumeration and the dynamic mechanism both ride on that cache.  A user
-that is not a contender of a cell (`per_bs_alloc.contenders`) cannot change
-it by joining or leaving, so its utility there is exactly 0 without a solve.
-Each cached cell also keeps a row of user utilities there, each entry filled
-the first time it is asked for.  `better_reply_set` asks for an entry only
+enumeration and the dynamic mechanism both ride on that cache.  Each
+cached cell keeps one record per user, its row of utilities there: built
+on first use with an exact 0 for every user that is not a contender of the
+cell (`per_bs_alloc.contenders`), which cannot change it by joining or
+leaving, and every other entry filled the first time it is asked for.
+`better_reply_set` reads the entries a row holds and asks for another only
 when the user's single-user bound at that BS can clear its bar (see
 `Evaluator.utility_bounds`), so most join cells it cannot win are never
 solved.
@@ -40,9 +41,8 @@ class GameMode:
 class CellResult:
     value: float                  # weighted cell throughput from reports
     rates: Dict[int, float]       # reported per-user rates
-    contenders: Optional[Tuple[bool, ...]] = None   # per user, filled on first use
-    row: Optional[List[Optional[float]]] = None     # per user utility, filled entry by entry
-    # the solve's (held, best, bound) for `contenders`, dropped once it ran
+    row: Optional[List[Optional[float]]] = None     # per user utility (`Evaluator._row`)
+    # the solve's (held, best, bound) for the row's contenders, kept until it is built
     solve: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
 
 
@@ -53,10 +53,14 @@ class Evaluator:
     table of finite, nonnegative entries, as the screens below and in
     `enumerate_nes` and `baselines.exhaustive_opt` need.
 
-    Each cell's row holds the users' utilities there, an entry filled the
-    first time `utilities` or `better_reply_set` asks for it.
-    `better_reply_set` leaves unasked an entry that cannot clear the user's
-    bar by the single-user bound of `utility_bounds`,
+    Each cell's row (`_row`) is its one record per user: built the first
+    time `utility` or `move_utility` asks about the cell, it holds an exact
+    0 for each user whose joining or leaving cannot change the cell, and
+    every other entry is filled the first time it is asked for.  An
+    untaxed member's utility is its rate, read from the cell and not kept.
+    `better_reply_set` reads an entry the row holds and leaves unasked one
+    that cannot clear the user's bar by the single-user bound of
+    `utility_bounds`,
     U[w][i] = K_w·df_w·log1p(g·P_w / (K_w·tau)), g being user i's largest
     report on BS w's K_w channels, times weight[w] in the taxed game.  In
     two steps:
@@ -67,7 +71,7 @@ class Evaluator:
        log1p(r_k·p_k / tau) over channels k of BS w, with r_k <= g, powers
        p_k >= 0 and sum(p) <= P_w; by Jensen (log1p is concave) that is at
        most U, weighted or not.
-    A taxed non-contender's entry is an exact 0.  The computed entry can
+    A non-contender's entry is an exact 0.  The computed entry can
     round a few ulps above U where the bound is exact (one channel, an
     empty cell), hence the slack of `better_reply_set`.  The table is
     built the first time `better_reply_set` needs it, so an Evaluator used
@@ -113,74 +117,50 @@ class Evaluator:
     def system_value(self, a: Sequence[int]) -> float:
         return sum(self.cell(w, s).value for w, s in enumerate(cells_of(self.net, a)))
 
-    def _contenders(self, res: CellResult, w: int,
-                    members: FrozenSet[int]) -> Tuple[bool, ...]:
-        """Per user, whether joining or leaving cell (w, members), whose
-        cached result is `res`, can change the cell."""
-        if res.contenders is None:
-            res.contenders = tuple(contenders(
-                self.net, w, members, self.reports, self.mode.strategy,
-                *(res.solve or ())).tolist())
+    def _row(self, res: CellResult, w: int,
+             members: FrozenSet[int]) -> List[Optional[float]]:
+        """The utility row of cell (w, members), whose cached result is
+        `res`, built on first use: an exact 0.0 for each user whose joining
+        or leaving cannot change the cell (not one of its
+        `per_bs_alloc.contenders`), None for the others until asked."""
+        if res.row is None:
+            flags = contenders(self.net, w, members, self.reports,
+                               self.mode.strategy, *(res.solve or ()))
+            res.row = [None if f else 0.0 for f in flags.tolist()]
             res.solve = None
-        return res.contenders
+        return res.row
 
     def utility(self, w: int, members: FrozenSet[int], i: int) -> float:
         """Utility of member i of cell (w, members): its reported rate, or
-        taxed, the cell value less the value of the cell without i, whose
-        solve is skipped when i's departure cannot change the cell."""
+        taxed, its row entry, the cell value less the value of the cell
+        without i."""
         here = self.cell(w, members)
         if not self.mode.taxed:
             return here.rates.get(i, 0.0)
-        if not self._contenders(here, w, members)[i]:
-            return 0.0
-        return here.value - self.cell(w, members - {i}).value
+        row = self._row(here, w, members)
+        if row[i] is None:
+            row[i] = here.value - self.cell(w, members - {i}).value
+        return row[i]
 
     def move_utility(self, w: int, members: FrozenSet[int], i: int) -> float:
-        """Utility of user i, not a member, after it joins cell (w, members):
-        its rate in the joined cell, or taxed, the value it adds; 0 without
-        a solve when i's arrival cannot change the cell."""
+        """Utility of user i, not a member, after it joins cell (w, members),
+        kept as its row entry: its rate in the joined cell, or taxed, the
+        value it adds."""
         there = self.cell(w, members)
-        if not self._contenders(there, w, members)[i]:
-            return 0.0
-        joined = self.cell(w, members | {i})
-        if not self.mode.taxed:
-            return joined.rates.get(i, 0.0)
-        return joined.value - there.value
+        row = self._row(there, w, members)
+        if row[i] is None:
+            joined = self.cell(w, members | {i})
+            row[i] = (joined.value - there.value if self.mode.taxed
+                      else joined.rates.get(i, 0.0))
+        return row[i]
 
     def utilities(self, a: Sequence[int]) -> Tuple[Tuple[float, ...], ...]:
         """Per BS w, every user's utility at w's cell under profile `a`:
-        `utility` for its members, `move_utility` for the others.  Every
-        entry of the W rows is filled."""
-        n = self.net.num_users
-        return tuple(tuple(self._entry(w, s, res, i) for i in range(n))
-                     for w, s, res in self._cells(a))
-
-    def _cells(self, a: Sequence[int]) -> List[Tuple[int, FrozenSet[int], CellResult]]:
-        """(w, members, cached result) of each cell of profile `a`, each
-        result with its row."""
-        out = []
-        for w, s in enumerate(cells_of(self.net, a)):
-            res = self.cell(w, s)
-            if res.row is None:
-                res.row = [None] * self.net.num_users
-            out.append((w, s, res))
-        return out
-
-    def _entry(self, w: int, members: FrozenSet[int], res: CellResult,
-               i: int) -> float:
-        """User i's utility at cell (w, members), whose cached result is
-        `res`, from its row, or computed and kept there."""
-        u = res.row[i]
-        if u is None:
-            # a taxed non-contender's utility is 0 (see `utility`)
-            if self.mode.taxed and not self._contenders(res, w, members)[i]:
-                u = 0.0
-            elif i in members:
-                u = self.utility(w, members, i)
-            else:
-                u = self.move_utility(w, members, i)
-            res.row[i] = u
-        return u
+        `utility` for its members, `move_utility` for the others."""
+        return tuple(tuple(self.utility(w, s, i) if i in s
+                           else self.move_utility(w, s, i)
+                           for i in range(self.net.num_users))
+                     for w, s in enumerate(cells_of(self.net, a)))
 
     def utility_bounds(self) -> List[List[float]]:
         """The (W, N) table U[w][i] of single-user bounds (see the class
@@ -235,7 +215,8 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
     user i's switching cost.
 
     User i's bar is its utility here plus its margin plus STRICT_TOL.  An
-    entry not yet in the row of BS w's cell (w, S) is asked for only if
+    entry the row of BS w's cell (w, S) holds is read, exact 0s included.
+    Any other (the row may not be built yet) is asked for only if
     i's bound there, U = `ev.utility_bounds()[w][i]` =
     K_w·df_w·log1p(g·P_w / (K_w·tau)) (weighted when taxed), plus a slack
     of 1e-9·(1 + |V_w(S)| + U) is above the bar.  Otherwise the entry is at
@@ -246,23 +227,28 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
     entry's rounding, a few ulps of U or, for a taxed difference, of
     V_w(S); so the lists equal those read from every entry."""
     ev = _eval(net, mode, evaluator)
-    cells = ev._cells(a)
+    cells = cells_of(net, a)
+    results = [ev.cell(w, s) for w, s in enumerate(cells)]
     bounds = ev.utility_bounds()
     if margins is None:
         margins = [0.0] * len(a)
     out = []
     for i, (here, margin) in enumerate(zip(a, margins)):
-        bar = ev._entry(*cells[here], i) + margin + STRICT_TOL
+        row = results[here].row
+        u = None if row is None else row[i]
+        if u is None:
+            u = ev.utility(here, cells[here], i)
+        bar = u + margin + STRICT_TOL
         replies = []
-        for w, members, res in cells:
+        for w, (members, res) in enumerate(zip(cells, results)):
             if w == here:
                 continue
-            u = res.row[i]
+            u = None if res.row is None else res.row[i]
             if u is None:
                 cap = bounds[w][i]
                 if cap + 1e-9 * (1.0 + abs(res.value) + cap) <= bar:
                     continue
-                u = ev._entry(w, members, res, i)
+                u = ev.move_utility(w, members, i)
             if u > bar:
                 replies.append(w)
         out.append(replies)

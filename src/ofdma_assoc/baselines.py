@@ -43,7 +43,7 @@ def candidate_bss(net: NetworkInstance,
     out = []
     for i in range(net.num_users):
         cands = [w for w, chans in enumerate(net.channels_of_bs)
-                 if g[i, chans].max() > 0.0]
+                 if g[i, chans].max(initial=0.0) > 0.0]
         out.append(cands if cands else [0])
     return out
 

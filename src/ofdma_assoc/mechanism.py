@@ -67,13 +67,15 @@ Event = Union[AddUsers, RemoveUsers, RegenerateChannels]
 
 def nearest_bs_profile(net: NetworkInstance) -> Tuple[int, ...]:
     """Geometric nearest BS when positions exist; otherwise the BS with the
-    highest mean normalized gain."""
+    highest mean normalized gain among those that own a channel."""
     if net.user_pos is not None and net.bs_pos is not None:
         d = np.linalg.norm(net.user_pos[:, None, :] - net.bs_pos[None, :, :], axis=2)
         return tuple(np.argmin(d, axis=1).tolist())
     g = net.normalized_gain()
-    means = np.stack([g[:, chans].mean(axis=1) for chans in net.channels_of_bs],
-                     axis=1)
+    means = np.full((net.num_users, net.num_bss), -np.inf)
+    for w, chans in enumerate(net.channels_of_bs):
+        if len(chans):
+            means[:, w] = g[:, chans].mean(axis=1)
     return tuple(np.argmax(means, axis=1).tolist())
 
 

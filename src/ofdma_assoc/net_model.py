@@ -231,6 +231,9 @@ class ScenarioConfig:
             raise InvalidArgumentError("BER must be in (0, 1)")
         if self.multipath_profile != "peda":
             raise InvalidArgumentError("the only multipath profile is 'peda'")
+        for name, low in (("num_users", 0), ("num_bss", 1), ("num_channels", 1)):
+            if getattr(self, name) < low:
+                raise InvalidArgumentError(f"{name} must be >= {low}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

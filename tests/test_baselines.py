@@ -9,7 +9,8 @@ from ofdma_assoc.assoc_game import Evaluator, GameMode, enumerate_nes, is_ne
 from ofdma_assoc.baselines import (SEARCH_CAP, SearchSpaceTooLargeError,
                                    candidate_bss, exhaustive_opt, greedy0,
                                    multi_connect_bound, nearest_bs)
-from ofdma_assoc.net_model import NetworkInstance, SatInstance, reduce_3sat
+from ofdma_assoc.net_model import (NetworkInstance, SatInstance, ScenarioConfig,
+                                   generate, reduce_3sat)
 from ofdma_assoc.per_bs_alloc import CA, CAPA
 
 
@@ -84,6 +85,15 @@ class TestExhaustive:
         cands = candidate_bss(net)
         assert all(c == [0] for c in cands)
 
+    def test_bs_without_channels(self):
+        """A BS that owns no channel is no candidate and does not stop the
+        search: blocks [1, 1, 0] give enumeration's optimum."""
+        net = generate(ScenarioConfig(num_users=6, num_bss=3, num_channels=2,
+                                      seed=4))
+        assert [len(c) for c in net.channels_of_bs] == [1, 1, 0]
+        res = exhaustive_opt(net)
+        ref = enumerate_nes(net, GameMode())
+        assert res.throughput == pytest.approx(ref.optimum_value, rel=1e-9)
 
     def test_candidates_follow_the_searched_reports(self):
         """User 0 has no true gain at BS 1 but reports 5 there: the search

@@ -74,35 +74,28 @@ def test_run_calls_its_mechanism_bindings(name, monkeypatch):
     assert all(calls[fn] >= 1 for fn in required)
 
 
-@pytest.mark.parametrize("name", ["dbsa_indoor", "dbsa_interference", "oracles"])
-def test_one_op_calls_the_utility_queries(name, monkeypatch, tmp_path):
-    """One seeded op at the workload's sizes still calls `Evaluator.utility`
-    and `Evaluator.move_utility`, which every instance workload requires
-    (`COMMON_BINDINGS`), and on `oracles`, `enumerate_nes` still calls
-    `is_ne` and `better_reply_set` through `assoc_game`: a screen that
-    decides more replies without a query must not leave them idle."""
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_one_op_calls_every_binding(name, monkeypatch, tmp_path):
+    """Set-up and one seeded op of each workload call every binding of its
+    `traced_bindings`, each counted at the name its binder holds (the
+    module `ofdma_assoc.<binder>`, or the `Evaluator` class): a saving that
+    leaves one idle, which the traced benchmark run refuses, fails here."""
     calls = collections.Counter()
+    for binding in WORKLOADS[name].traced_bindings:
+        key, _, binder = binding.partition("@")
+        fn = key.rpartition(".")[2]
+        owner = (assoc_game.Evaluator if binder == "Evaluator"
+                 else importlib.import_module(f"ofdma_assoc.{binder}"))
 
-    def count(owner, fn):
-        target = getattr(owner, fn)
-
-        def counted(*args, **kwargs):
-            calls[fn] += 1
-            return target(*args, **kwargs)
+        def counted(*args, _binding=binding, _target=getattr(owner, fn), **kwargs):
+            calls[_binding] += 1
+            return _target(*args, **kwargs)
 
         monkeypatch.setattr(owner, fn, counted)
-
-    for fn in ("utility", "move_utility"):
-        count(assoc_game.Evaluator, fn)
-    if name == "oracles":
-        for fn in ("is_ne", "better_reply_set"):
-            count(assoc_game, fn)
     wl = WORKLOADS[name](7, str(tmp_path))
     try:
         wl.setup(0)
         wl.op(wl.prepare(0))
     finally:
         wl.close()
-    assert calls["utility"] >= 1 and calls["move_utility"] >= 1
-    if name == "oracles":
-        assert calls["is_ne"] >= 1 and calls["better_reply_set"] >= 1
+    assert [b for b in WORKLOADS[name].traced_bindings if not calls[b]] == []

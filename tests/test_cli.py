@@ -239,6 +239,17 @@ class TestCliSurface:
         assert (outdir / "summary.csv").exists()
         assert (outdir / "manifest.json").exists()
 
+    def test_campaign_with_a_bs_without_channels(self, tmp_path, capsys):
+        """Three BSs share two channels, so one BS owns none; the exhaustive
+        optimum still runs and no row carries an error."""
+        outdir = tmp_path / "camp"
+        assert main(["campaign", "--users", "4", "--bss", "3", "--channels", "2",
+                     "--seed", "1", "--algorithms", "dbsa,exhaustive",
+                     "--outdir", str(outdir)]) == 0
+        header, *rows = (outdir / "summary.csv").read_text().splitlines()
+        err = header.split(",").index("error")
+        assert rows and all(row.split(",")[err] == "" for row in rows)
+
     def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
         """A second `main` call in the process parses afresh: a campaign
         with the defaults after one with other flags writes the files a

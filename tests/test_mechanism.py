@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -45,6 +46,15 @@ class TestInit:
         expect = [int(np.argmax([g[i, :2].mean(), g[i, 2:].mean()]))
                   for i in range(4)]
         assert nearest_bs_profile(net) == tuple(expect)
+
+    def test_gain_fallback_skips_bss_without_channels(self):
+        """A BS that owns no channel has no mean gain and takes no user."""
+        net = NetworkInstance(gain=[[1.0, 2.0], [3.0, 0.5]], noise=np.ones((2, 2)),
+                              channels_of_bs=[[0], [1], []], budget=[1.0] * 3,
+                              weight=[1.0] * 3, bandwidth=[1.0] * 3, tau=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nearest_bs_profile(net) == (1, 0)
 
     def test_memory_length_validated(self, rng):
         net = random_network(rng)

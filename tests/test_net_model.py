@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_network
-from ofdma_assoc import mechanism
+from ofdma_assoc import mechanism, sim_cli
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    SatInstance, ScenarioConfig, _indoor_positions,
                                    _split_channels, capacity_gap,
@@ -183,6 +183,21 @@ class TestScenarioConfig:
         with pytest.raises(InvalidArgumentError, match="fading"):
             ScenarioConfig.from_json('{"num_users": 3, "fading": "rayleigh"}')
 
+    @pytest.mark.parametrize("key, value, argv", [
+        ("num_users", -1, ["generate", "--users", "-1"]),
+        ("num_bss", 0, ["run", "--seed", "1", "--bss", "0"]),
+        ("num_channels", 0, ["generate", "--channels", "0"]),
+    ])
+    def test_bad_size_rejected(self, key, value, argv):
+        """A size that no scenario can have fails when the config is made,
+        from the constructor, a dict or the command line."""
+        with pytest.raises(InvalidArgumentError, match=key):
+            ScenarioConfig(**{key: value})
+        with pytest.raises(InvalidArgumentError, match=key):
+            ScenarioConfig.from_dict({key: value})
+        with pytest.raises(InvalidArgumentError, match=key):
+            sim_cli.main(argv)
+
 
 class TestIndoorScenario:
     def test_determinism(self):
@@ -251,10 +266,10 @@ class TestOutdoorScenario:
 
     @pytest.mark.parametrize("num_bss", [0, 8, 9])
     def test_bs_count_outside_layout_rejected(self, num_bss):
-        cfg = ScenarioConfig(mode="outdoor", num_users=4, num_bss=num_bss,
-                             num_channels=16, seed=1)
+        """0 BSs fails when the config is made, 8 or more at `generate`."""
         with pytest.raises(InvalidArgumentError):
-            generate(cfg)
+            generate(ScenarioConfig(mode="outdoor", num_users=4,
+                                    num_bss=num_bss, num_channels=16, seed=1))
 
     def test_determinism(self):
         cfg = ScenarioConfig(mode="outdoor", num_users=4, num_bss=7,
