@@ -333,9 +333,8 @@ def _profile_values(ev: Evaluator, n: int,
     and the sum over BSs of the largest |cell value|, which bounds every
     partial sum.  With two or more BSs every user set is cell w of some
     profile, so each of the W·2^N cells is needed: `_solve_masks` enters
-    those `ev` has not cached, solved in batches from per-channel winners
-    that a DP over member bitmasks builds, and the table reads them through
-    `ev.cell`.  A profile's cell w is found by its member bitmask."""
+    those `ev` has not cached, solved in batches, and the table reads them
+    through `ev.cell`.  A profile's cell w is found by its member bitmask."""
     shape = (w_cnt,) * n
     sets = [mask_members(m) for m in range(1 << n)]
     total = np.zeros(shape)
@@ -357,53 +356,28 @@ def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
     all 2^N member bitmasks, as the same results `ev.cell` would build, from
     batched solves of CHUNK cells each (`solve_cells`).
 
-    A cell's per-channel winners are merged from those of its lower and its
-    upper users (bits below and from N // 2), each half tabulated for all
-    its masks by `_mask_winners`.  Every upper user is above every lower
-    one, so it takes a channel only with a strictly larger report, as
-    argmax's lowest-index rule gives it.  A BS without channels is left to
-    `ev.cell`."""
+    A chunk's per-channel winners are one argmax over BS w's report block,
+    in which each cell's non-members read -1: numpy's first-occurrence rule
+    gives each channel to the lowest-index member with the best report, as
+    `per_bs_alloc._best_user_per_channel` does.  A BS without channels is
+    left to `ev.cell`."""
     chans = ev.net.channels_of_bs[w]
     if not len(chans):
         return
     sub = ev.reports[:, chans]
-    low = sub.shape[0] // 2
-    low_beta, low_best = _mask_winners(sub[:low])
-    high_beta, high_best = _mask_winners(sub[low:])
-    high_beta += low
+    bits = 1 << np.arange(sub.shape[0])
     for start in range(1, len(sets), CHUNK):
         rows = [m for m in range(start, min(start + CHUNK, len(sets)))
                 if (w, sets[m]) not in ev._cache]
         if not rows:
             continue
-        masks = np.array(rows)
-        lo, hi = masks & ((1 << low) - 1), masks >> low
-        # the upper users' winner takes a channel on a strictly larger
-        # report, or whenever the cell has no lower user
-        win = (high_best[hi] > low_best[lo]) | (lo == 0)[:, None]
-        win &= (hi > 0)[:, None]
-        beta = np.where(win, high_beta[hi], low_beta[lo])
-        best = np.where(win, high_best[hi], low_best[lo])
+        member = (np.array(rows)[:, None] & bits) > 0
+        block = np.where(member[:, :, None], sub, -1.0)
+        beta = block.argmax(axis=1)
+        best = np.take_along_axis(block, beta[:, None], axis=1)[:, 0]
         for m, alloc in zip(rows, solve_cells(ev.net, w, beta, best,
                                               ev.mode.strategy)):
             ev._enter(w, sets[m], alloc)
-
-
-def _mask_winners(sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per bitmask m of the rows of `sub`, the lowest-index argmax row and
-    its value per column (row 0, the empty mask, is zero), by a DP over
-    masks: m is m' plus its top bit i, and row i, above every row of m',
-    wins a column only with a strictly larger value."""
-    size = 1 << sub.shape[0]
-    beta = np.zeros((size, sub.shape[1]), dtype=int)
-    best = np.zeros((size, sub.shape[1]))
-    for i, row in enumerate(sub):
-        lo, hi = 1 << i, 2 << i
-        beta[lo], best[lo] = i, row
-        win = row > best[1:lo]
-        beta[lo + 1:hi] = np.where(win, i, beta[1:lo])
-        best[lo + 1:hi] = np.where(win, row, best[1:lo])
-    return beta, best
 
 
 def _dominated(values: np.ndarray, scale: float, n: int,

@@ -149,12 +149,17 @@ def water_fill(inv_gains: np.ndarray, budget: float,
     return powers, lam
 
 
-def _inverse_gains(tau: float, best: np.ndarray) -> np.ndarray:
-    """tau / best per channel, +inf where the best gain is not positive."""
-    if best.min(initial=math.inf) > 0:
-        return tau / best
-    with np.errstate(divide="ignore"):
-        return np.where(best > 0, tau / np.where(best > 0, best, 1.0), np.inf)
+def _inverse_gains(tau: float, reports: np.ndarray) -> np.ndarray:
+    """tau / r for each report r, of any shape: the one place the kernel
+    computes an inverse gain.  It is +inf where r <= 0 or where tau / r
+    overflows (a subnormal r), so such a channel is unusable, and nothing
+    warns.  Reports all above tau * 1e-300 cannot overflow and are divided
+    at once."""
+    if reports.min(initial=math.inf) > tau * 1e-300:
+        return tau / reports
+    with np.errstate(over="ignore"):
+        return np.where(reports > 0,
+                        tau / np.where(reports > 0, reports, 1.0), np.inf)
 
 
 def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
@@ -184,11 +189,13 @@ def solve_cells(net: NetworkInstance, w: int, beta: np.ndarray,
     """`solve_cell` for C non-empty cells of BS w at once, each given by its
     per-channel winners `beta` and their reports `best` ((C, K_w) arrays,
     as `_best_user_per_channel` returns them; no NaN).  Every field of each
-    Allocation is bit-identical to `solve_cell`'s: under CAPA the rows are
-    sorted stably, `cumsum` adds in sequence as `_active_set` does, the
-    active set is the first k whose level lam_k = (budget + csum_k) / k does
-    not cover the next inverse gain, and each row's powers are summed and
-    renormalized on their own, as `water_fill` does."""
+    Allocation is bit-identical to `solve_cell`'s: under CAPA the inverse
+    gains are `_inverse_gains`' (+inf for a report <= 0 or one whose
+    tau / r overflows), the rows are sorted stably, `cumsum` adds in
+    sequence as `_active_set` does, the active set is the first k whose
+    level lam_k = (budget + csum_k) / k does not cover the next inverse
+    gain, and each row's powers are summed and renormalized on their own,
+    as `water_fill` does."""
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
     chans = net.channels_of_bs[w]
@@ -198,8 +205,7 @@ def solve_cells(net: NetworkInstance, w: int, beta: np.ndarray,
         return [Allocation(bs=w, channels=chans, beta=b, power=power.copy(),
                            best=r, held=b) for b, r in cells]
     budget = float(net.budget[w])
-    with np.errstate(divide="ignore"):
-        inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
+    inv = _inverse_gains(net.tau, best)
     order = inv.argsort(axis=1, kind="stable")
     inv_sorted = np.take_along_axis(inv, order, axis=1)
     finite = np.isfinite(inv_sorted).sum(axis=1)
@@ -301,10 +307,12 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
     channel the water-fill admitted (its power may still round to 0).  A
     non-member contends if on some channel its report reaches the best
     member report (ties count: the lowest index wins them) and, under CAPA,
-    its inverse gain tau / r is below the admission bound, so that the
-    admitted prefix, its running sum, lam and every power would change.  In
-    an empty cell a user contends if it has a positive report (CA) or a
-    finite inverse gain (CAPA).
+    its inverse gain is below the admission bound, so that the admitted
+    prefix, its running sum, lam and every power would change.  In an empty
+    cell a user contends if it has a positive report (CA) or a finite
+    inverse gain (CAPA).  Inverse gains are `_inverse_gains`', as in the
+    solve: +inf for a report <= 0 or one whose tau / r overflows, so under
+    CAPA such a report never makes a non-member contend.
     """
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
@@ -313,13 +321,12 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
     if not users:
         if strategy == CA:
             return (sub > 0).any(axis=1)
-        with np.errstate(divide="ignore"):
-            return (net.tau / sub < math.inf).any(axis=1)
+        return (_inverse_gains(net.tau, sub) < math.inf).any(axis=1)
     if strategy == CA:
         flags = (sub >= best).any(axis=1)
     else:
-        with np.errstate(divide="ignore"):
-            flags = ((sub >= best) & (net.tau / sub < bound)).any(axis=1)
+        inv = _inverse_gains(net.tau, sub)
+        flags = ((sub >= best) & (inv < bound)).any(axis=1)
     flags[users] = False
     flags[held] = True
     return flags

@@ -75,7 +75,7 @@ def ref_solve_capa(net, w, users, reports):
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
     beta, best = ref_best_user_per_channel(reports, users, chans)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
     if not np.isfinite(inv).any():
         alloc = _empty_allocation(net, w)
@@ -123,7 +123,7 @@ def ref_contenders(net, w, users, reports, strategy):
     if not users:
         if strategy == CA:
             return (sub > 0).any(axis=1)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return (net.tau / sub < math.inf).any(axis=1)
     beta, best = ref_best_user_per_channel(reports, users, chans)
     if strategy == CA:
@@ -138,7 +138,7 @@ def ref_contenders(net, w, users, reports, strategy):
             bound = inv_sorted[active]
         else:
             bound = max(lam, inv_sorted[active - 1])
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             flags = ((sub >= best) & (net.tau / sub < bound)).any(axis=1)
         held = beta[np.argsort(inv, kind="stable")[:active]]
     flags[users] = False
@@ -155,7 +155,9 @@ def solve_contenders(net, w, members, reports, strategy):
 
 # -- drawn inputs: few distinct values, so ties and zeros are common --------
 
-GAIN = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 3.0, 7.5, 1e-3, 40.0])
+# 1e-320 is a subnormal report whose inverse gain tau / r overflows to +inf
+GAIN = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 3.0, 7.5, 1e-3, 40.0,
+                        1e-320])
 INV = st.one_of(st.sampled_from([math.inf, 0.5, 1.0, 1.0, 2.0]),
                 st.floats(0.01, 100.0))
 
@@ -241,7 +243,7 @@ def test_reported_rates_read_the_solve(cell):
 def test_contenders_match_reference(cell):
     """The contender test on the solve's winners, reports and water-fill
     admission equals the one that re-derived them, in a filled and an
-    empty cell (zero reports give +inf inverse gains)."""
+    empty cell (zero and subnormal reports give +inf inverse gains)."""
     net, users = cell
     reports = net.normalized_gain()
     for strategy in STRATEGIES:

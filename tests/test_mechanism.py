@@ -56,6 +56,14 @@ class TestInit:
             warnings.simplefilter("error")
             assert nearest_bs_profile(net) == (1, 0)
 
+    def test_nearest_by_distance_skips_bss_without_channels(self):
+        """BS 2 owns no channel: users 1 and 4, nearest to it, start at the
+        nearest BS that owns one, where they can get a channel."""
+        net = generate(ScenarioConfig(num_users=6, num_bss=3, num_channels=2,
+                                      seed=0))
+        assert [len(c) for c in net.channels_of_bs] == [1, 1, 0]
+        assert nearest_bs_profile(net) == (1, 1, 1, 1, 1, 1)
+
     def test_memory_length_validated(self, rng):
         net = random_network(rng)
         with pytest.raises(InvalidArgumentError):

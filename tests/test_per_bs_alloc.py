@@ -1,18 +1,20 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_network
 from ofdma_assoc import fixtures, vcg
-from ofdma_assoc.assoc_game import system_throughput
-from ofdma_assoc.net_model import InvalidArgumentError
+from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
+                                    enumerate_nes, system_throughput)
+from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, Allocation,
                                       NoUsableChannelError, cells_of,
-                                      realized_rates, reported_rates,
-                                      solve_ca, solve_capa, solve_cell,
-                                      water_fill)
+                                      contenders, realized_rates,
+                                      reported_rates, solve_ca, solve_capa,
+                                      solve_cell, solve_cells, water_fill)
 from ofdma_assoc.sim_cli import _realized
 
 
@@ -317,3 +319,37 @@ def test_unknown_strategy_rejected(rng, strategy):
     net = random_network(rng)
     with pytest.raises(InvalidArgumentError):
         solve_cell(net, 0, [0], net.normalized_gain(), strategy)
+
+
+def test_subnormal_report_overflows_to_an_unusable_channel():
+    """A legal subnormal report makes tau / r overflow.  Its inverse gain
+    is +inf, as for a zero report, and no path through the cell kernel
+    warns: the single and batched solves, the contender test, the better
+    replies and the enumeration."""
+    net = NetworkInstance(gain=[[1e-320, 1.0], [2.0, 1e-320]],
+                          noise=np.ones((2, 2)), channels_of_bs=[[0, 1]],
+                          budget=[1.0], weight=[1.0], bandwidth=[1.0], tau=1.0)
+    reports = net.reports()
+    mode = GameMode(strategy=CAPA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = solve_cell(net, 0, [0], reports, CAPA)
+        both = solve_cell(net, 0, [0, 1], reports, CAPA)
+        batch = solve_cells(net, 0, np.array([alone.beta, both.beta]),
+                            np.array([alone.best, both.best]), CAPA)
+        empty = contenders(net, 0, [], reports, CAPA)
+        full = contenders(net, 0, [0, 1], reports, CAPA,
+                          both.held, both.best, both.bound)
+        ev = Evaluator(net, mode)
+        value = ev.cell(0, frozenset({0})).value
+        taxed = ev.utility(0, frozenset({0, 1}), 0)
+        replies = better_reply_set(net, (0, 0), mode, ev)
+        nes = enumerate_nes(net, mode).nes
+    assert alone.power.tolist() == [0.0, 1.0]
+    assert [a.power.tolist() for a in batch] == [alone.power.tolist(),
+                                                 both.power.tolist()]
+    assert empty.tolist() == full.tolist() == [True, True]
+    assert value == 0.6931471805599453
+    assert taxed == 0.040821994520255256
+    assert replies == [[], []]
+    assert [(a, float(v)) for a, v in nes] == [((0, 0), 1.1394342831883648)]
