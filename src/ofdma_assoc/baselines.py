@@ -51,38 +51,37 @@ def candidate_bss(net: NetworkInstance,
 def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                    evaluator: Optional[Evaluator] = None) -> BaselineResult:
     """Global optimum over the pruned profile space, by depth-first branch
-    and bound (Land & Doig 1960).  `evaluations` counts the leaves reached
-    above the warm start, each of which raises the incumbent.
+    and bound (Land & Doig 1960).  A node is valued by the sum of its W
+    cell values in BS order, as `Evaluator.system_value` sums, so the
+    returned throughput is `ev.system_value(profile)`.  `evaluations`
+    counts the leaves reached, each of which raises the incumbent.
 
     Warm start: the incumbent starts, with no profile, at g - 1e-9·(1+|g|),
-    g being `greedy0`'s value on the same Evaluator.  greedy0's profile is
-    feasible; a user on a BS where all its reports are zero changes nothing
-    there, and cells are monotone in their user set, so moving it to a
-    candidate BS loses nothing.  So the optimum over candidate BSs is at
-    least g, the slack absorbs rounding, and the optimum leaf still beats
-    the incumbent and is recorded.
+    g being `greedy0`'s value on the same Evaluator.  A user of greedy0's
+    profile adds nothing at a BS where all its reports are zero, and cells
+    are monotone in their user set, so moving it to a candidate BS loses
+    nothing: the optimum over candidate BSs is at least g.  The slack
+    absorbs rounding, so the optimum leaf is still recorded.
 
-    A child (i, w) is skipped before its cell is looked up when either of
-    two bounds on the leaves below it is at or below `cut`, a further 1e-9
-    relative below the incumbent, so that rounding in a bound cannot skip
-    a leaf the entry check would keep:
-    - subadditivity, V_w(S | T) <= V_w(S) + V_w(T) (the union's powers are
-      feasible for S and for T, and log(1+max(x,y)) <= log(1+x) +
-      log(1+y)): users i+1..N-1 add at most the sum of their best singleton
-      values, and user i adds at most V_w({i}) to cell w;
-    - monotonicity (criterion 07): with R_w the users after i that may pick
-      w, A_w = V_w(S_w | R_w) - V_w(S_w), and B_w the same with user i in
-      R_w, the child's leaves are worth at most value + sum(A) - A_w + B_w.
-      Where one or two users are left after i, those unions are all but
-      leaf cells and solving them costs more than they prune, so A_w is
-      bounded instead by min(B_w, the sum of their singleton values at w),
-      by monotonicity and subadditivity.
-    Every leaf under a skipped child is therefore at or below the
-    incumbent, so the search reaches the same leaves, in the same order, as
-    one from the same warm start that looked up every child and ran only
-    the entry check (value + singleton bound <= incumbent + 1e-15).  Cell
-    values, the unions included, are kept per BS by member bitmask;
-    `ev.cell` solves only the cells not yet seen."""
+    Entry check: a child is entered only if its value plus the best
+    singleton values of the users after it beats the incumbent by more
+    than STRICT_TOL, as a profile must in the optimum scan of
+    `enumerate_nes`.  By subadditivity, V_w(S | T) <= V_w(S) + V_w(T) (the
+    union's powers are feasible for S and for T, and log(1+max(x,y)) <=
+    log(1+x) + log(1+y)), that sum bounds the child's leaves.
+
+    A child (i, w) is skipped before its cell is looked up when a bound on
+    its leaves is at or below `cut`, a further 1e-9 relative below the
+    incumbent, so that rounding in the bound cannot skip a leaf the entry
+    check would keep.  By monotonicity (criterion 07), with R_w the users
+    after i that may pick w, A_w = V_w(S_w | R_w) - V_w(S_w), and B_w the
+    same with user i in R_w, the child's leaves are worth at most
+    sum_w V_w(S_w) + sum(A) - A_w + B_w.  Where one or two users are left
+    after i, those unions are all but leaf cells and solving them costs
+    more than they prune, so A_w is bounded instead by min(B_w, the sum of
+    their singleton values at w).  So the search reaches the same leaves,
+    in the same order, as one from the same warm start that looked up
+    every child and ran only the entry check."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
     cands = candidate_bss(net, ev.reports)
     space = 1
@@ -110,7 +109,8 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
         for w, single in singleton[i].items():
             reach[i][w] |= 1 << i
             spread[i][w] += single
-    # per BS: cell value by member bitmask, and the current cell
+    # per BS: cell value by member bitmask (the unions included; `ev.cell`
+    # solves only the cells not yet seen), and the current cell
     values = [{} for _ in range(num_bss)]
     masks = [0] * num_bss
     current = [0.0] * num_bss
@@ -137,7 +137,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     profile = [0] * n
     evals = 0
 
-    def dfs(i: int, value: float, upper: List[float]):
+    def dfs(i: int, upper: List[float]):
         """Visit the children of a node at depth i that passed its entry
         check; upper[w] bounds V_w(S_w | R_w) with user i in R_w."""
         nonlocal best_value, best_profile, cut, evals
@@ -150,35 +150,30 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                      for c, u, s in zip(current, upper, spread[i + 1])]
         else:
             after = unions(i + 1)
-        # value + sum(A), as value is sum(current) but for rounding
-        gains = sum(after)
-        for w, single in singleton[i].items():
-            if (value + single + rest <= cut
-                    or gains + (upper[w] - after[w]) <= cut):
+        gains = sum(after)        # sum(V(S)) + sum(A)
+        for w in singleton[i]:
+            if gains + (upper[w] - after[w]) <= cut:
                 continue
             new = masks[w] | bit
             cell = values[w].get(new)
             if cell is None:
                 cell = value_of(w, new)
-            child = value + (cell - current[w])
-            if child + rest <= best_value + 1e-15:
-                continue
-            profile[i] = w
-            if i + 1 == n:
-                evals += 1
-                if child > best_value + 1e-15:
-                    best_value = child
-                    best_profile = tuple(profile)
-                    cut = best_value - 1e-9 * (1.0 + abs(best_value))
-                continue
             old, held = masks[w], current[w]
             masks[w], current[w] = new, cell
-            below = list(after)
-            below[w] = upper[w]
-            dfs(i + 1, child, below)
+            child = sum(current)
+            if child + rest > best_value + STRICT_TOL:
+                profile[i] = w
+                if i + 1 == n:    # rest is 0: the leaf beats the incumbent
+                    evals += 1
+                    best_value, best_profile = child, tuple(profile)
+                    cut = best_value - 1e-9 * (1.0 + abs(best_value))
+                else:
+                    below = list(after)
+                    below[w] = upper[w]
+                    dfs(i + 1, below)
             masks[w], current[w] = old, held
 
-    dfs(0, 0.0, unions(0))
+    dfs(0, unions(0))
     return BaselineResult(profile=best_profile, throughput=best_value,
                           evaluations=evals)
 

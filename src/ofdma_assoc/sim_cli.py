@@ -48,6 +48,8 @@ class Campaign:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        if self.memory_len < 0:
+            raise InvalidArgumentError("memory length must be >= 1, or 0 for N")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise InvalidArgumentError(f"unknown algorithm {alg!r}")
@@ -114,7 +116,7 @@ def _run_point(campaign: Campaign, d: float, cost: float,
             err_rng = np.random.default_rng(seed + 10 ** 6)
             reports = inject_estimation_error(net, cer_db, err_rng)
         ev = Evaluator(net, mode, reports)
-        m = campaign.memory_len if campaign.memory_len > 0 else net.num_users
+        m = campaign.memory_len or net.num_users
         exhaustive_value = None
         for alg in campaign.algorithms:
             if alg == "dbsa":
@@ -345,7 +347,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_run(args) -> int:
     net = generate(_scenario_from_args(args))
-    m = args.memory if args.memory > 0 else net.num_users
+    m = args.memory or net.num_users
     mode = GameMode(strategy=args.strategy)
     res = mechanism.run(net, m, args.cost, args.max_iter, args.seed, mode=mode)
     summary = {

@@ -160,6 +160,33 @@ class TestCampaign:
             main(["run", "--users", "3", "--bss", "2", "--channels", "8",
                   "--seed", "0", "--cost", cost])
 
+    def test_negative_memory_rejected_when_built(self, tmp_path):
+        """A negative memory length is refused before any point runs, from
+        the constructor, a manifest or the command line; it ran every
+        point with M = N."""
+        with pytest.raises(InvalidArgumentError, match="memory length"):
+            small_campaign(memory_len=-5)
+        payload = json.loads(small_campaign().to_json())
+        payload["memory_len"] = -5
+        with pytest.raises(InvalidArgumentError, match="memory length"):
+            Campaign.from_json(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match="memory length"):
+            main(["campaign", "--users", "3", "--bss", "2", "--channels", "8",
+                  "--seed", "0", "--outdir", str(tmp_path / "out"),
+                  "--memory", "-5"])
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_run_memory_rejected(self, capsys):
+        """`run --memory -5` is refused, not run with M = N; 0 still means
+        the number of users."""
+        argv = ["run", "--users", "3", "--bss", "2", "--channels", "8",
+                "--seed", "0", "--memory"]
+        with pytest.raises(InvalidArgumentError, match="memory length"):
+            main(argv + ["-5"])
+        assert main(argv + ["0"]) == main(argv + ["3"]) == 0
+        zero, three = capsys.readouterr().out.splitlines()
+        assert zero == three
+
     def test_campaign_json_round_trip(self):
         c = small_campaign(cer_values=(math.inf, 20.0))
         back = Campaign.from_json(c.to_json())

@@ -464,9 +464,10 @@ def test_better_replies_match_per_query_reference(strategy, taxed):
 
 
 def ref_exhaustive_opt(net, strategy, ev):
-    """The search body that looked up both cells of every child and ran
-    each child's entry check on entry, from the same warm start: an
-    incumbent just below greedy0's value."""
+    """The search body that looked up the cells of every child, valued each
+    node by the sum of its cell values in BS order and ran each child's
+    entry check on entry, from the same warm start: an incumbent just below
+    greedy0's value."""
     cands = baselines.candidate_bss(net)
     n = net.num_users
     singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
@@ -479,25 +480,23 @@ def ref_exhaustive_opt(net, strategy, ev):
     profile = [0] * n
     cells = [frozenset() for _ in range(net.num_bss)]
 
-    def dfs(i, value):
+    def dfs(i):
         nonlocal best_value, best_profile, evals
-        if value + suffix_bound[i] <= best_value + 1e-15:
+        value = sum(ev.cell(w, s).value for w, s in enumerate(cells))
+        if value + suffix_bound[i] <= best_value + assoc_game.STRICT_TOL:
             return
         if i == n:
             evals += 1
-            if value > best_value + 1e-15:
-                best_value, best_profile = value, tuple(profile)
+            best_value, best_profile = value, tuple(profile)
             return
         for w in cands[i]:
             old = cells[w]
-            new = old | {i}
-            delta = ev.cell(w, new).value - ev.cell(w, old).value
-            cells[w] = new
+            cells[w] = old | {i}
             profile[i] = w
-            dfs(i + 1, value + delta)
+            dfs(i + 1)
             cells[w] = old
 
-    dfs(0, 0.0)
+    dfs(0)
     return baselines.BaselineResult(profile=best_profile, throughput=best_value,
                                     evaluations=evals)
 
@@ -552,8 +551,9 @@ def _no_users():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_exhaustive_matches_reference(strategy):
     """Same profile, throughput (type included) and leaf count as the
-    search that solved every child: ties, zero rows, weight-0 BSs, the
-    bench's 8-user instances and no users at all."""
+    search that solved every child, and a throughput that is the profile's
+    system value: ties, zero rows, weight-0 BSs, the bench's 8-user
+    instances and no users at all."""
     rng = np.random.default_rng(31)
     nets = ([_network(rng) for _ in range(200)]
             + _generated(8, 4, 64, 6, 500) + [_no_users()])
@@ -566,6 +566,7 @@ def test_exhaustive_matches_reference(strategy):
         assoc_game.system_throughput(net, baselines.nearest_bs(net).profile,
                                      strategy, shared)
         assert repr(baselines.exhaustive_opt(net, strategy, shared)) == repr(ref)
+        assert got.throughput == shared.system_value(got.profile)
 
 
 @pytest.mark.parametrize("taxed", [True, False])
@@ -601,18 +602,24 @@ def test_cell_value_is_subadditive(cell, data):
 
 
 @st.composite
-def oracle_nets(draw):
+def oracle_nets(draw, every_bs=False):
     """A network of 1-5 users and 1-3 BSs of 1-3 channels each, reports
-    drawn from GAIN (ties and zeros), some all-zero report rows, and some
-    BSs of weight 0."""
+    drawn from GAIN (ties and zeros), some BSs of weight 0 and some all-zero
+    report rows.  With `every_bs`, every user instead reports a positive
+    gain at every BS, so every BS is a candidate for every user."""
     n = draw(st.integers(1, 5))
     blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     k = sum(blocks)
     gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
                                   min_size=n, max_size=n)))
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        gain[i] = 0.0
     edges = np.cumsum([0] + blocks)
+    if every_bs:
+        for i, (a, b) in itertools.product(range(n), zip(edges, edges[1:])):
+            if not gain[i, a:b].any():
+                gain[i, a] = draw(GAIN.filter(bool))
+    else:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            gain[i] = 0.0
     w_cnt = len(blocks)
     return NetworkInstance(
         gain=gain, noise=np.ones((n, k)),
@@ -625,22 +632,9 @@ def oracle_nets(draw):
         tau=draw(st.sampled_from([1.0, 1.5, 4.0])))
 
 
-def unpruned_opt(net, ev):
-    """The best value over every profile on the candidate BSs, each valued
-    by the search's chain of cell differences."""
-    best = -math.inf
-    for a in itertools.product(*baselines.candidate_bss(net)):
-        value, cells = 0.0, [frozenset() for _ in range(net.num_bss)]
-        for i, w in enumerate(a):
-            new = cells[w] | {i}
-            value = value + (ev.cell(w, new).value - ev.cell(w, cells[w]).value)
-            cells[w] = new
-        best = max(best, value)
-    return best
-
-
-# users 1 and 2 report alike: profiles (2, 0, 2, 0) and (2, 2, 0, 0) tie,
-# and their chains of differences round one ulp apart under CA
+# users 1 and 2 report alike: profiles (2, 0, 2, 0) and (2, 2, 0, 0) tie
+# exactly as BS-order cell sums, while a chain of cell differences, one
+# user at a time, rounds them one ulp apart under CA
 _TIED = NetworkInstance(
     gain=[[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 3.0, 0.0, 0.0, 1.0],
           [0.0, 3.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.0, 0.0]],
@@ -653,26 +647,46 @@ _TIED = NetworkInstance(
 @given(oracle_nets())
 @example(_TIED)
 def test_exhaustive_prunes_no_optimal_branch(net):
-    """The warm start and both bounds skip nothing the entry check keeps:
-    the search returns, bit for bit, what the search from the same start
-    that looks up every child returns.  And no branch holding the optimum
-    is pruned: the unpruned search over the candidate BSs finds the same
-    throughput up to rounding, and no profile over all BSs, non-candidates
-    included, does better.  The profiles may differ on a tie: the entry
-    check's 1e-15 slack is below one ulp of a value near 1e6, so a tied
-    leaf whose chain of differences rounds one ulp higher than the
-    incumbent can be skipped, as the search always did."""
+    """The warm start and the pre-lookup bound skip nothing the entry check
+    keeps: the search returns, bit for bit, what the search from the same
+    start that looks up every child returns.  And no branch holding the
+    optimum is pruned: the profile and throughput are those of the optimum
+    scan of `enumerate_nes` over the profiles on the candidate BSs, bit
+    for bit, and no profile over all BSs, non-candidates included, is
+    worth more, up to 1e-12 relative."""
     for strategy in STRATEGIES:
         mode = GameMode(strategy=strategy)
         ev = Evaluator(net, mode)
         got = baselines.exhaustive_opt(net, strategy, ev)
         assert repr(got) == repr(ref_exhaustive_opt(net, strategy,
                                                     Evaluator(net, mode)))
-        unpruned = unpruned_opt(net, ev)
+        best, best_value = None, -math.inf
+        for a in itertools.product(*baselines.candidate_bss(net)):
+            value = ev.system_value(a)
+            if value > best_value + assoc_game.STRICT_TOL:
+                best, best_value = a, value
+        assert (got.profile, got.throughput) == (best, best_value)
         top = max(ev.system_value(a) for a in
                   itertools.product(range(net.num_bss), repeat=net.num_users))
-        assert abs(got.throughput - unpruned) <= 1e-12 * (1.0 + abs(unpruned))
         assert top <= got.throughput + 1e-12 * (1.0 + abs(top))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_nets(every_bs=True))
+@example(dataclasses.replace(_TIED, gain=np.maximum(_TIED.gain, 1e-3)))
+def test_exhaustive_agrees_with_enumeration(net):
+    """Where every BS is a candidate for every user, the pruned search and
+    the enumeration scan are one oracle: the same optimal profile and
+    throughput, bit for bit, ties included, and the throughput is the
+    profile's system value."""
+    for strategy in STRATEGIES:
+        mode = GameMode(strategy=strategy)
+        ev = Evaluator(net, mode)
+        got = baselines.exhaustive_opt(net, strategy, ev)
+        enum = assoc_game.enumerate_nes(net, mode, ev)
+        assert (got.profile, got.throughput) == (enum.optimum,
+                                                 enum.optimum_value)
+        assert got.throughput == ev.system_value(got.profile)
 
 
 @st.composite
