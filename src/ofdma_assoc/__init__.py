@@ -6,8 +6,8 @@ from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
                         ScenarioConfig, capacity_gap, dbm_to_watts, generate,
                         inject_estimation_error, reduce_3sat)
 from .per_bs_alloc import (CA, CAPA, Allocation, NoUsableChannelError,
-                           cells_of, realized_rates, reported_rates, solve_ca,
-                           solve_capa, solve_cell, water_fill)
+                           cells_of, members, realized_rates, reported_rates,
+                           solve_ca, solve_capa, solve_cell, water_fill)
 from .vcg import UserOutcome, misreport_search, tax, utility
 from .assoc_game import (Evaluator, GameMode, better_reply_set,
                          deviation_identity_check, efficiency_ratio,

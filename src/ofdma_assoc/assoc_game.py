@@ -3,7 +3,7 @@ predicates, enumeration, the unilateral-deviation identity, and efficiency
 ratios.
 
 Cell values depend on the association profile only through the set of
-users in the cell, so an Evaluator memoizes per-(BS, user-set) solves;
+users in the cell, so an Evaluator memoizes per-(BS, member bitmask) solves;
 enumeration and the dynamic mechanism both ride on that cache.  Each
 cached cell keeps one record per user, its row of utilities there: built
 on first use with an exact 0 for every user that is not a contender of the
@@ -18,12 +18,12 @@ solved.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import (CAPA, Allocation, cells_of, contenders,
+from .per_bs_alloc import (CAPA, Allocation, cells_of, contenders, members,
                            reported_rates, solve_cell, solve_cells)
 
 STRICT_TOL = 1e-12
@@ -48,7 +48,8 @@ class CellResult:
 
 class Evaluator:
     """Memoized per-cell solves and utility rows for a fixed instance /
-    reports / mode.  Every query names its cell: a BS and its members.
+    reports / mode.  Every query names its cell by a BS w and its member
+    bitmask (bit i for user i; see `cells_of`), solved on `members(mask)`.
     The reports pass `NetworkInstance.reports`, so they are an (N, K)
     table of finite, nonnegative entries, as the screens below and in
     `enumerate_nes` and `baselines.exhaustive_opt` need.
@@ -88,28 +89,28 @@ class Evaluator:
         self.net = net
         self.mode = mode
         self.reports = net.reports(reports)
-        self._cache: Dict[Tuple[int, FrozenSet[int]], CellResult] = {}
+        self._cache: Dict[Tuple[int, int], CellResult] = {}
         self._bounds: Optional[List[List[float]]] = None
         self._rounds: Dict[Tuple[Tuple[int, ...], Tuple[float, ...]], List] = {}
 
-    def cell(self, w: int, users: FrozenSet[int]) -> CellResult:
-        key = (w, users)
-        hit = self._cache.get(key)
+    def cell(self, w: int, mask: int) -> CellResult:
+        hit = self._cache.get((w, mask))
         if hit is not None:
             return hit
-        if not users:
-            res = self._cache[key] = CellResult(0.0, {})
-            return res
-        return self._enter(w, users, solve_cell(self.net, w, users, self.reports,
-                                                self.mode.strategy))
+        if not mask:
+            return self._cache.setdefault((w, mask), CellResult(0.0, {}))
+        users = members(mask)
+        return self._enter(w, mask, users, solve_cell(
+            self.net, w, users, self.reports, self.mode.strategy))
 
-    def _enter(self, w: int, users: FrozenSet[int], alloc: Allocation) -> CellResult:
-        """Cache and return the result of the non-empty cell (w, users)
-        from its solve `alloc`."""
+    def _enter(self, w: int, mask: int, users: List[int],
+               alloc: Allocation) -> CellResult:
+        """Cache and return the result of the non-empty cell (w, mask),
+        whose members are `users`, from its solve `alloc`."""
         rates = reported_rates(self.net, alloc)
         for u in users:
             rates.setdefault(u, 0.0)
-        res = self._cache[(w, users)] = CellResult(
+        res = self._cache[(w, mask)] = CellResult(
             self.net.weight[w] * sum(rates.values()), rates,
             solve=(alloc.held, alloc.best, alloc.bound))
         return res
@@ -117,39 +118,38 @@ class Evaluator:
     def system_value(self, a: Sequence[int]) -> float:
         return sum(self.cell(w, s).value for w, s in enumerate(cells_of(self.net, a)))
 
-    def _row(self, res: CellResult, w: int,
-             members: FrozenSet[int]) -> List[Optional[float]]:
-        """The utility row of cell (w, members), whose cached result is
+    def _row(self, res: CellResult, w: int, mask: int) -> List[Optional[float]]:
+        """The utility row of cell (w, mask), whose cached result is
         `res`, built on first use: an exact 0.0 for each user whose joining
         or leaving cannot change the cell (not one of its
         `per_bs_alloc.contenders`), None for the others until asked."""
         if res.row is None:
-            flags = contenders(self.net, w, members, self.reports,
+            flags = contenders(self.net, w, members(mask), self.reports,
                                self.mode.strategy, *(res.solve or ()))
             res.row = [None if f else 0.0 for f in flags.tolist()]
             res.solve = None
         return res.row
 
-    def utility(self, w: int, members: FrozenSet[int], i: int) -> float:
-        """Utility of member i of cell (w, members): its reported rate, or
+    def utility(self, w: int, mask: int, i: int) -> float:
+        """Utility of member i of cell (w, mask): its reported rate, or
         taxed, its row entry, the cell value less the value of the cell
         without i."""
-        here = self.cell(w, members)
+        here = self.cell(w, mask)
         if not self.mode.taxed:
             return here.rates.get(i, 0.0)
-        row = self._row(here, w, members)
+        row = self._row(here, w, mask)
         if row[i] is None:
-            row[i] = here.value - self.cell(w, members - {i}).value
+            row[i] = here.value - self.cell(w, mask & ~(1 << i)).value
         return row[i]
 
-    def move_utility(self, w: int, members: FrozenSet[int], i: int) -> float:
-        """Utility of user i, not a member, after it joins cell (w, members),
+    def move_utility(self, w: int, mask: int, i: int) -> float:
+        """Utility of user i, not a member, after it joins cell (w, mask),
         kept as its row entry: its rate in the joined cell, or taxed, the
         value it adds."""
-        there = self.cell(w, members)
-        row = self._row(there, w, members)
+        there = self.cell(w, mask)
+        row = self._row(there, w, mask)
         if row[i] is None:
-            joined = self.cell(w, members | {i})
+            joined = self.cell(w, mask | 1 << i)
             row[i] = (joined.value - there.value if self.mode.taxed
                       else joined.rates.get(i, 0.0))
         return row[i]
@@ -157,7 +157,7 @@ class Evaluator:
     def utilities(self, a: Sequence[int]) -> Tuple[Tuple[float, ...], ...]:
         """Per BS w, every user's utility at w's cell under profile `a`:
         `utility` for its members, `move_utility` for the others."""
-        return tuple(tuple(self.utility(w, s, i) if i in s
+        return tuple(tuple(self.utility(w, s, i) if s >> i & 1
                            else self.move_utility(w, s, i)
                            for i in range(self.net.num_users))
                      for w, s in enumerate(cells_of(self.net, a)))
@@ -188,11 +188,6 @@ class Evaluator:
         return self._bounds
 
 
-def mask_members(mask: int) -> FrozenSet[int]:
-    """The users whose bits are set in `mask`."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _eval(net: NetworkInstance, mode: GameMode,
           evaluator: Optional[Evaluator]) -> Evaluator:
     """The game's Evaluator: a new one, or `evaluator` if it is of this very
@@ -212,7 +207,7 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
                      margins: Optional[Sequence[float]] = None) -> List[List[int]]:
     """Per user, the BSs offering it strictly higher utility than its
     current one, read from the profile's utility rows.  `margins[i]` adds
-    user i's switching cost.
+    user i's switching cost; there must be one per user of `a`.
 
     User i's bar is its utility here plus its margin plus STRICT_TOL.  An
     entry the row of BS w's cell (w, S) holds is read, exact 0s included.
@@ -232,6 +227,8 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
     bounds = ev.utility_bounds()
     if margins is None:
         margins = [0.0] * len(a)
+    elif len(margins) != len(a):
+        raise InvalidArgumentError(f"{len(margins)} margins for {len(a)} users")
     out = []
     for i, (here, margin) in enumerate(zip(a, margins)):
         row = results[here].row
@@ -240,7 +237,7 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
             u = ev.utility(here, cells[here], i)
         bar = u + margin + STRICT_TOL
         replies = []
-        for w, (members, res) in enumerate(zip(cells, results)):
+        for w, (mask, res) in enumerate(zip(cells, results)):
             if w == here:
                 continue
             u = None if res.row is None else res.row[i]
@@ -248,7 +245,7 @@ def better_reply_set(net: NetworkInstance, a: Sequence[int], mode: GameMode,
                 cap = bounds[w][i]
                 if cap + 1e-9 * (1.0 + abs(res.value) + cap) <= bar:
                     continue
-                u = ev.move_utility(w, members, i)
+                u = ev.move_utility(w, mask, i)
             if u > bar:
                 replies.append(w)
         out.append(replies)
@@ -331,17 +328,17 @@ def _profile_values(ev: Evaluator, n: int,
     """System value of every profile, in `itertools.product` order, summed
     over the BSs left to right from 0 as `Evaluator.system_value` sums,
     and the sum over BSs of the largest |cell value|, which bounds every
-    partial sum.  With two or more BSs every user set is cell w of some
+    partial sum.  With two or more BSs every bitmask is the cell w of some
     profile, so each of the W·2^N cells is needed: `_solve_masks` enters
     those `ev` has not cached, solved in batches, and the table reads them
-    through `ev.cell`.  A profile's cell w is found by its member bitmask."""
+    through `ev.cell`, indexed by the member bitmask as the cache is."""
     shape = (w_cnt,) * n
-    sets = [mask_members(m) for m in range(1 << n)]
+    size = 1 << n
     total = np.zeros(shape)
     scale = 0.0
     for w in range(w_cnt):
-        _solve_masks(ev, w, sets)
-        table = np.array([ev.cell(w, s).value for s in sets])
+        _solve_masks(ev, w, size)
+        table = np.array([ev.cell(w, m).value for m in range(size)])
         scale += np.abs(table).max()
         here = (np.arange(w_cnt) == w).astype(np.int64)
         mask = np.zeros(shape, dtype=np.int64)
@@ -351,9 +348,9 @@ def _profile_values(ev: Evaluator, n: int,
     return total.ravel(), scale
 
 
-def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
-    """Enter in `ev` every cell (w, sets[m]) it has not cached, m > 0 over
-    all 2^N member bitmasks, as the same results `ev.cell` would build, from
+def _solve_masks(ev: Evaluator, w: int, size: int) -> None:
+    """Enter in `ev` every cell (w, m) it has not cached, over the member
+    bitmasks 0 < m < `size`, as the same results `ev.cell` would build, from
     batched solves of CHUNK cells each (`solve_cells`).
 
     A chunk's per-channel winners are one argmax over BS w's report block,
@@ -366,9 +363,9 @@ def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
         return
     sub = ev.reports[:, chans]
     bits = 1 << np.arange(sub.shape[0])
-    for start in range(1, len(sets), CHUNK):
-        rows = [m for m in range(start, min(start + CHUNK, len(sets)))
-                if (w, sets[m]) not in ev._cache]
+    for start in range(1, size, CHUNK):
+        rows = [m for m in range(start, min(start + CHUNK, size))
+                if (w, m) not in ev._cache]
         if not rows:
             continue
         member = (np.array(rows)[:, None] & bits) > 0
@@ -377,7 +374,7 @@ def _solve_masks(ev: Evaluator, w: int, sets: List[FrozenSet[int]]) -> None:
         best = np.take_along_axis(block, beta[:, None], axis=1)[:, 0]
         for m, alloc in zip(rows, solve_cells(ev.net, w, beta, best,
                                               ev.mode.strategy)):
-            ev._enter(w, sets[m], alloc)
+            ev._enter(w, m, members(m), alloc)
 
 
 def _dominated(values: np.ndarray, scale: float, n: int,

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .assoc_game import STRICT_TOL, Evaluator, GameMode, _eval, mask_members
+from .assoc_game import STRICT_TOL, Evaluator, GameMode, _eval
 from .mechanism import nearest_bs_profile
 from .net_model import NetworkInstance
 from .per_bs_alloc import CAPA, cells_of
@@ -51,10 +51,11 @@ def candidate_bss(net: NetworkInstance,
 def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
                    evaluator: Optional[Evaluator] = None) -> BaselineResult:
     """Global optimum over the pruned profile space, by depth-first branch
-    and bound (Land & Doig 1960).  A node is valued by the sum of its W
-    cell values in BS order, as `Evaluator.system_value` sums, so the
-    returned throughput is `ev.system_value(profile)`.  `evaluations`
-    counts the leaves reached, each of which raises the incumbent.
+    and bound (Land & Doig 1960).  A node holds one member bitmask per BS
+    and is valued by the sum of its W cells' `ev.cell` values in BS order,
+    as `Evaluator.system_value` sums, so the returned throughput is
+    `ev.system_value(profile)`.  `evaluations` counts the leaves reached,
+    each of which raises the incumbent.
 
     Warm start: the incumbent starts, with no profile, at g - 1e-9·(1+|g|),
     g being `greedy0`'s value on the same Evaluator.  A user of greedy0's
@@ -94,7 +95,7 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
     n, num_bss = net.num_users, net.num_bss
     if n == 0:
         return BaselineResult(profile=(), throughput=0.0, evaluations=1)
-    singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
+    singleton = [{w: ev.cell(w, 1 << i).value for w in cands[i]}
                  for i in range(n)]
     # upper bound on the total value the users i..N-1 can still add
     suffix_bound = [0.0] * (n + 1)
@@ -109,25 +110,16 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
         for w, single in singleton[i].items():
             reach[i][w] |= 1 << i
             spread[i][w] += single
-    # per BS: cell value by member bitmask (the unions included; `ev.cell`
-    # solves only the cells not yet seen), and the current cell
-    values = [{} for _ in range(num_bss)]
+    # per BS: the current cell's member bitmask and value
     masks = [0] * num_bss
     current = [0.0] * num_bss
-
-    def value_of(w: int, mask: int) -> float:
-        cell = values[w].get(mask)
-        if cell is None:
-            cell = values[w][mask] = ev.cell(w, mask_members(mask)).value
-        return cell
 
     def unions(i: int) -> List[float]:
         """Per BS w, V_w(S_w | the users i..N-1 that may pick w)."""
         out = list(current)
         for w, r in enumerate(reach[i]):
             if r:
-                cell = values[w].get(masks[w] | r)
-                out[w] = value_of(w, masks[w] | r) if cell is None else cell
+                out[w] = ev.cell(w, masks[w] | r).value
         return out
 
     g = greedy0(net, strategy, ev).throughput
@@ -154,12 +146,9 @@ def exhaustive_opt(net: NetworkInstance, strategy: str = CAPA,
         for w in singleton[i]:
             if gains + (upper[w] - after[w]) <= cut:
                 continue
-            new = masks[w] | bit
-            cell = values[w].get(new)
-            if cell is None:
-                cell = value_of(w, new)
             old, held = masks[w], current[w]
-            masks[w], current[w] = new, cell
+            masks[w] = old | bit
+            current[w] = ev.cell(w, masks[w]).value
             child = sum(current)
             if child + rest > best_value + STRICT_TOL:
                 profile[i] = w
@@ -188,18 +177,19 @@ def greedy0(net: NetworkInstance, strategy: str = CAPA,
     a = list(nearest_bs_profile(net))
     evals = 1
     while True:
-        sets = cells_of(net, a)
-        cells = [ev.cell(w, s).value for w, s in enumerate(sets)]
+        masks = cells_of(net, a)
+        cells = [ev.cell(w, m).value for w, m in enumerate(masks)]
         value = sum(cells)
         best_move, best_gain = None, STRICT_TOL
         for i, here in enumerate(a):
-            left = ev.cell(here, sets[here] - {i}).value
-            for w, members in enumerate(sets):
+            bit = 1 << i
+            left = ev.cell(here, masks[here] & ~bit).value
+            for w, mask in enumerate(masks):
                 if w == here:
                     continue
                 cand = list(cells)
                 cand[here] = left
-                cand[w] = ev.cell(w, members | {i}).value
+                cand[w] = ev.cell(w, mask | bit).value
                 evals += 1
                 gain = sum(cand) - value
                 if gain > best_gain:
@@ -215,5 +205,5 @@ def multi_connect_bound(net: NetworkInstance, strategy: str = CAPA,
     """Strict upper bound: every BS allocates as if all users were in its
     cell simultaneously."""
     ev = _eval(net, GameMode(strategy=strategy), evaluator)
-    everyone = frozenset(range(net.num_users))
+    everyone = (1 << net.num_users) - 1
     return sum(ev.cell(w, everyone).value for w in range(net.num_bss))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assoc_game import Evaluator, GameMode, _eval, better_reply_set, is_ne
 from .net_model import InvalidArgumentError, NetworkInstance, exponential_fading
-from .per_bs_alloc import Allocation, cells_of, solve_cell
+from .per_bs_alloc import Allocation, cells_of, members, solve_cell
 
 
 @dataclass
@@ -207,9 +207,8 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     fixed = False                 # the last refresh left the noise equal
     while state.iteration < max_iter and state.stable < memory_len:
         if interference and not (fixed and state.stable >= 1):
-            allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
-                      for w, users in enumerate(cells_of(net, state.profile))
-                      if users}
+            allocs = {w: solve_cell(net, w, members(mask), ev.reports, mode.strategy)
+                      for w, mask in enumerate(cells_of(net, state.profile)) if mask}
             new = update_interference_noise(net, state.profile, allocs)
             fixed = np.array_equal(new, noise)
             if not fixed:

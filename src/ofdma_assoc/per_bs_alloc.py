@@ -9,8 +9,7 @@ to the lowest user index so runs replay deterministically.
 import bisect
 import math
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -332,18 +331,28 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
     return flags
 
 
-def cells_of(net: NetworkInstance,
-             a: Sequence[int]) -> Tuple[FrozenSet[int], ...]:
-    """Per-BS member sets of the association profile `a`, which must hold
-    one BS index in 0..W-1 per user of `net`."""
+def cells_of(net: NetworkInstance, a: Sequence[int]) -> Tuple[int, ...]:
+    """Per BS, the member bitmask of its cell (bit i for user i) under the
+    association profile `a`, which must hold one BS index in 0..W-1 per
+    user of `net`.  `members` lists a mask's users."""
     if len(a) != net.num_users:
         raise InvalidArgumentError(
             f"profile has {len(a)} entries for {net.num_users} users")
     num_bss = net.num_bss
-    sets: List[set] = [set() for _ in range(num_bss)]
+    masks = [0] * num_bss
     for i, w in enumerate(a):
         if not 0 <= w < num_bss:
             raise InvalidArgumentError(
                 f"user {i} has BS index {w}, outside 0..{num_bss - 1}")
-        sets[w].add(i)
-    return tuple(frozenset(s) for s in sets)
+        masks[w] |= 1 << i
+    return tuple(masks)
+
+
+def members(mask: int) -> List[int]:
+    """The users whose bits are set in `mask`, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

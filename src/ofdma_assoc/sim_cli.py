@@ -26,10 +26,12 @@ from .baselines import SearchSpaceTooLargeError
 from .net_model import (InvalidArgumentError, NetworkInstance, SatInstance,
                         ScenarioConfig, _check_cer, generate,
                         inject_estimation_error, reduce_3sat)
-from .per_bs_alloc import (CAPA, STRATEGIES, cells_of, realized_rates,
-                           solve_cell)
+from .per_bs_alloc import (CAPA, STRATEGIES, cells_of, members,
+                           realized_rates, solve_cell)
 
 ALGORITHMS = ("dbsa", "nearest", "greedy0", "exhaustive", "bound")
+MEMORY_HELP = ("memory length M (default: number of users); M=1 is "
+               "simultaneous better reply and can cycle")
 
 
 @dataclass
@@ -153,9 +155,10 @@ def _realized(net: NetworkInstance, a, reports,
     one solve of each occupied cell."""
     per_bs = [0.0] * net.num_bss
     per_user = [0.0] * net.num_users
-    for w, users in enumerate(cells_of(net, a)):
-        if not users:
+    for w, mask in enumerate(cells_of(net, a)):
+        if not mask:
             continue
+        users = members(mask)
         alloc = solve_cell(net, w, users, reports, strategy)
         rates = realized_rates(net, alloc, users)
         per_bs[w] = float(net.weight[w] * sum(rates.values()))
@@ -303,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="one mechanism run on a fresh instance")
     _add_scenario_flags(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--memory", type=int, default=0,
-                   help="memory length M (default: number of users)")
+    p.add_argument("--memory", type=int, default=0, help=MEMORY_HELP)
     p.add_argument("--cost", type=float, default=0.0)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--strategy", default=CAPA, choices=STRATEGIES)
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-values", default="0.5")
     p.add_argument("--cost-values", default="0.0")
     p.add_argument("--cer-values", default="inf")
-    p.add_argument("--memory", type=int, default=0)
+    p.add_argument("--memory", type=int, default=0, help=MEMORY_HELP)
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--strategy", default=CAPA, choices=STRATEGIES)
     p.add_argument("--outdir", required=True)

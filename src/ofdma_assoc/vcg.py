@@ -7,13 +7,14 @@ sampler doubles as the strategy-proofness oracle.
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .assoc_game import Evaluator, GameMode
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import cells_of, realized_rates, reported_rates, solve_cell
+from .per_bs_alloc import (cells_of, members, realized_rates, reported_rates,
+                           solve_cell)
 
 
 @dataclass
@@ -23,14 +24,14 @@ class UserOutcome:
     utility: float
 
 
-def _outcome(net: NetworkInstance, w: int, users: FrozenSet[int], i: int,
+def _outcome(net: NetworkInstance, w: int, users: Sequence[int], i: int,
              values: np.ndarray, strategy: str, without_i: float) -> UserOutcome:
-    """User i's outcome in cell w from one solve on the reports: realized
-    rate, the tax alpha * (without_i - reported rates of the others), and
-    the quasilinear utility alpha * rate - tax.  `without_i` is the reported
-    rate sum of the cell without user i, read from an `Evaluator`'s cached
-    cell: its rates are the solve's reported rates plus zeros, so the sum
-    is the same float."""
+    """User i's outcome in cell w of members `users` from one solve on the
+    reports: realized rate, the tax alpha * (without_i - reported rates of
+    the others), and the quasilinear utility alpha * rate - tax.
+    `without_i` is the reported rate sum of the cell without user i, read
+    from an `Evaluator`'s cached cell: its rates are the solve's reported
+    rates plus zeros, so the sum is the same float."""
     alpha = net.weight[w]
     alloc = solve_cell(net, w, users, values, strategy)
     rate = realized_rates(net, alloc, users).get(i, 0.0)
@@ -53,9 +54,9 @@ def utility(net: NetworkInstance, a: Sequence[int], i: int, reports,
     the true normalized gains) pass `NetworkInstance.reports`."""
     w = a[i]
     ev = Evaluator(net, GameMode(strategy), reports)
-    users = cells_of(net, a)[w]
-    without_i = sum(ev.cell(w, users - {i}).rates.values())
-    return _outcome(net, w, users, i, ev.reports, strategy, without_i)
+    mask = cells_of(net, a)[w]
+    without_i = sum(ev.cell(w, mask & ~(1 << i)).rates.values())
+    return _outcome(net, w, members(mask), i, ev.reports, strategy, without_i)
 
 
 def _misreport_row(true_row: np.ndarray, net: NetworkInstance,
@@ -90,12 +91,13 @@ def misreport_search(net: NetworkInstance, a: Sequence[int], i: int,
     ev = Evaluator(net, GameMode(strategy))
     truthful = ev.reports
     w = a[i]
-    users = cells_of(net, a)[w]
+    mask = cells_of(net, a)[w]
+    users = members(mask)
     # the drop-out term of the tax does not depend on user i's report
-    without_i = sum(ev.cell(w, users - {i}).rates.values())
+    without_i = sum(ev.cell(w, mask & ~(1 << i)).rates.values())
     truthful_u = _outcome(net, w, users, i, truthful, strategy,
                           without_i).utility
-    mates = sorted(users - {i})
+    mates = [u for u in users if u != i]
     true_row = truthful[i]
     best_gain = -math.inf
     vals = truthful.copy()

@@ -8,7 +8,8 @@ from ofdma_assoc import fixtures
 from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
                                     deviation_identity_check, efficiency_ratio,
                                     enumerate_nes, is_ne, system_throughput)
-from ofdma_assoc.net_model import InvalidArgumentError
+from ofdma_assoc.mechanism import init_state, run, step
+from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
 from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of
 
 
@@ -72,6 +73,16 @@ class TestBetterReply:
                 cur = ev.utility(a[i], cells[a[i]], i)
                 for w in br:
                     assert ev.move_utility(w, cells[w], i) > cur
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_margins_must_match_the_profile(self, count):
+        """One margin per user: a short list is not cut to a short answer,
+        nor a long one silently truncated."""
+        net = fixtures.example1_network()
+        mode = GameMode()
+        with pytest.raises(InvalidArgumentError):
+            better_reply_set(net, (0, 0), mode, Evaluator(net, mode),
+                             [0.0] * count)
 
 
 class TestIsNE:
@@ -236,3 +247,51 @@ class TestValidUtilityConditions:
             cells = cells_of(net, a)
             total = sum(ev.utility(a[i], cells[a[i]], i) for i in range(net.num_users))
             assert total <= ev.system_value(a) + 1e-9
+
+
+def half_bound_witness(delta=0.0):
+    """Two BSs of one channel each; unit noise, budget, weight and
+    bandwidth; tau=1.  User 0 hears only BS 0 (gain 4); user 1 hears both,
+    with gain 4(1+delta) at BS 0 and 4 at BS 1."""
+    return NetworkInstance(
+        gain=[[4.0, 0.0], [4.0 * (1 + delta), 4.0]], noise=np.ones((2, 2)),
+        channels_of_bs=[[0], [1]], budget=[1.0, 1.0], weight=[1.0, 1.0],
+        bandwidth=[1.0, 1.0], tau=1.0)
+
+
+@pytest.mark.parametrize("strategy", [CA, CAPA])
+class TestHalfBoundWitness:
+    """The taxed game's 1/2 efficiency bound is attained.  At (1, 0) user 0
+    adds nothing at BS 0 while user 1 holds its channel (a tie of equal
+    gains), so that profile is a NE worth ln 5, half of the optimum (0, 1)
+    at 2 ln 5.  Criterion 05's `>= 0.5 - 1e-9` has no slack here."""
+
+    def test_worst_ne_attains_half(self, strategy):
+        net, mode = half_bound_witness(), GameMode(strategy)
+        enum = enumerate_nes(net, mode)
+        assert enum.nes == [((0, 1), 3.2188758248682006),
+                            ((1, 0), 1.6094379124341003)]
+        assert enum.optimum == (0, 1)
+        ratio = efficiency_ratio(net, (1, 0), mode, enumeration=enum)
+        assert 0.5 - 1e-9 <= ratio <= 0.5 + 1e-12
+
+    def test_untaxed_game_has_only_the_optimum(self, strategy):
+        mode = GameMode(strategy, taxed=False)
+        assert [a for a, _ in enumerate_nes(half_bound_witness(), mode).nes] == [(0, 1)]
+
+    def test_breaking_the_tie_lifts_the_ratio(self, strategy):
+        net, mode = half_bound_witness(0.01), GameMode(strategy)
+        enum = enumerate_nes(net, mode)
+        assert [a for a, _ in enum.nes] == [(0, 1), (1, 0)]
+        assert efficiency_ratio(net, (1, 0), mode, enumeration=enum) > 0.5 + 1e-3
+
+    def test_dbsa_reaches_the_optimum_and_stays_at_the_bad_ne(self, strategy):
+        net, mode = half_bound_witness(), GameMode(strategy)
+        for seed in range(5):
+            res = run(net, 2, 0.0, 100, seed, mode)
+            assert [rec.profile for rec in res.trace] == [(0, 0)] + [(0, 1)] * 3
+            assert res.converged and res.is_ne and res.iterations == 3
+        state = init_state(net, 2, 0.0, 0)
+        state.profile = (1, 0)
+        step(net, state, mode)
+        assert state.profile == (1, 0)

@@ -26,7 +26,7 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
-                                      cells_of, contenders,
+                                      cells_of, contenders, members,
                                       realized_rates, reported_rates,
                                       solve_cell, solve_cells,
                                       water_fill)
@@ -270,13 +270,13 @@ def test_rates_of_empty_and_partial_allocations():
 # -- the zero-marginal rules ------------------------------------------------
 
 
-def ref_utility_in(ev, i, w, members):
-    """Utility of user i if cell w's user set were `members` (i included),
-    from the cell solves with and without i."""
-    with_i = ev.cell(w, members)
+def ref_utility_in(ev, i, w, mask):
+    """Utility of user i if cell w's member bitmask were `mask` (i
+    included), from the cell solves with and without i."""
+    with_i = ev.cell(w, mask)
     if not ev.mode.taxed:
         return with_i.rates.get(i, 0.0)
-    return with_i.value - ev.cell(w, members - {i}).value
+    return with_i.value - ev.cell(w, mask & ~(1 << i)).value
 
 
 def _network(rng):
@@ -324,7 +324,7 @@ def test_rules_match_two_solve_formula(strategy, taxed):
                 for w in range(net.num_bss):
                     if w != a[i]:
                         assert ev.move_utility(w, cells[w], i) == ref_utility_in(
-                            ref, i, w, cells[w] | {i})
+                            ref, i, w, cells[w] | 1 << i)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -337,13 +337,13 @@ def test_non_contenders_leave_rates_unchanged(strategy):
         net = _network(rng)
         g = net.normalized_gain()
         for w in range(net.num_bss):
-            members = frozenset(int(u) for u in np.flatnonzero(
+            users = frozenset(int(u) for u in np.flatnonzero(
                 rng.uniform(size=net.num_users) < 0.5))
-            flags = solve_contenders(net, w, members, g, strategy)
-            assert flags.tolist() == ref_contenders(net, w, members, g, strategy).tolist()
+            flags = solve_contenders(net, w, users, g, strategy)
+            assert flags.tolist() == ref_contenders(net, w, users, g, strategy).tolist()
             for u in np.flatnonzero(~flags).tolist():
-                base = reported_rates(net, solve_cell(net, w, members, g, strategy))
-                rates = reported_rates(net, solve_cell(net, w, members ^ {u}, g, strategy))
+                base = reported_rates(net, solve_cell(net, w, users, g, strategy))
+                rates = reported_rates(net, solve_cell(net, w, users ^ {u}, g, strategy))
                 assert base.pop(u, 0.0) == rates.pop(u, 0.0) == 0.0
                 assert list(rates.items()) == list(base.items())
                 skipped += 1
@@ -369,9 +369,10 @@ def test_zero_rate_member_can_still_change_the_cell():
     net = _two_bs([[0.7356008332560473, 0.7356008332560472, 0.0], [0.0, 0.0, g]],
                   8.881784197001252e-16)
     ev = Evaluator(net, GameMode(strategy=CAPA))
-    cell = frozenset({0, 1})
+    cell = 0b11                   # users 0 and 1
     assert ev.cell(0, cell).rates[1] == 0.0
-    assert solve_contenders(net, 0, cell, ev.reports, CAPA).tolist() == [True, True]
+    assert solve_contenders(net, 0, members(cell), ev.reports,
+                            CAPA).tolist() == [True, True]
     marginal = ref_utility_in(Evaluator(net, GameMode(strategy=CAPA)), 1, 0, cell)
     assert marginal != 0.0
     assert ev.utility(0, cell, 1) == marginal
@@ -389,9 +390,9 @@ def test_zero_report_joiner_can_change_a_ca_cell():
     ev = Evaluator(net, GameMode(strategy=CA))
     assert solve_contenders(net, 0, {1, 2, 3}, ev.reports, CA)[0]
     marginal = ref_utility_in(Evaluator(net, GameMode(strategy=CA)),
-                              0, 0, frozenset({0, 1, 2, 3}))
+                              0, 0, 0b1111)
     assert marginal != 0.0
-    assert ev.move_utility(0, frozenset({1, 2, 3}), 0) == marginal
+    assert ev.move_utility(0, 0b1110, 0) == marginal
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -410,7 +411,7 @@ def test_non_contender_move_makes_no_solve(strategy, monkeypatch):
         raise AssertionError("cell solve for a non-contender")
 
     monkeypatch.setattr(assoc_game, "solve_cell", no_solve)
-    assert ev.move_utility(0, frozenset({0, 1}), 2) == 0.0
+    assert ev.move_utility(0, 0b11, 2) == 0.0
 
 
 # -- better replies from the per-cell utility rows -------------------------
@@ -470,7 +471,7 @@ def ref_exhaustive_opt(net, strategy, ev):
     greedy0's value."""
     cands = baselines.candidate_bss(net)
     n = net.num_users
-    singleton = [{w: ev.cell(w, frozenset([i])).value for w in cands[i]}
+    singleton = [{w: ev.cell(w, 1 << i).value for w in cands[i]}
                  for i in range(n)]
     suffix_bound = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -478,7 +479,7 @@ def ref_exhaustive_opt(net, strategy, ev):
     g = baselines.greedy0(net, strategy, ev).throughput
     best_value, best_profile, evals = g - 1e-9 * (1.0 + abs(g)), None, 0
     profile = [0] * n
-    cells = [frozenset() for _ in range(net.num_bss)]
+    cells = [0] * net.num_bss
 
     def dfs(i):
         nonlocal best_value, best_profile, evals
@@ -491,7 +492,7 @@ def ref_exhaustive_opt(net, strategy, ev):
             return
         for w in cands[i]:
             old = cells[w]
-            cells[w] = old | {i}
+            cells[w] = old | 1 << i
             profile[i] = w
             dfs(i + 1)
             cells[w] = old
@@ -535,8 +536,8 @@ def test_realized_rates_divide_only_the_allocation():
         reports = inject_estimation_error(net, 0.0, rng)
         a = rng.integers(0, net.num_bss, net.num_users)
         for strategy in STRATEGIES:
-            for w, users in enumerate(cells_of(net, a)):
-                alloc = solve_cell(net, w, users, reports, strategy)
+            for w, mask in enumerate(cells_of(net, a)):
+                alloc = solve_cell(net, w, members(mask), reports, strategy)
                 assert list(realized_rates(net, alloc).items()) == list(
                     ref_rates_from_alloc(net, alloc, truth).items())
 
@@ -596,7 +597,7 @@ def test_cell_value_is_subadditive(cell, data):
                                unique=True))
     for strategy in STRATEGIES:
         ev = Evaluator(net, GameMode(strategy=strategy))
-        s, t = frozenset(users), frozenset(other)
+        s, t = (sum(1 << u for u in set(x)) for x in (users, other))
         union = ev.cell(0, s | t).value
         assert union <= (ev.cell(0, s).value + ev.cell(0, t).value) * (1 + 1e-9)
 
@@ -721,24 +722,24 @@ def test_batched_table_matches_scalar_solves(net):
     scalar miss builds, bit for bit, and every field of `solve_cells`'
     allocations is `solve_cell`'s."""
     reports = net.normalized_gain()
-    sets = [assoc_game.mask_members(m) for m in range(1 << net.num_users)]
+    size = 1 << net.num_users
     fields = ("bs", "channels", "beta", "power", "best", "water_level",
               "held", "bound")
     for strategy in STRATEGIES:
         table = Evaluator(net, GameMode(strategy=strategy))
         scalar = Evaluator(net, GameMode(strategy=strategy))
         for w, chans in enumerate(net.channels_of_bs):
-            assoc_game._solve_masks(table, w, sets)
-            for s in sets[1:]:
-                got, want = table._cache[(w, s)], scalar.cell(w, s)
+            assoc_game._solve_masks(table, w, size)
+            for m in range(1, size):
+                got, want = table._cache[(w, m)], scalar.cell(w, m)
                 assert repr((got.value, got.rates)) == repr((want.value, want.rates))
                 assert all(map(_same, got.solve, want.solve))
-            winners = [_best_user_per_channel(reports, sorted(s), chans)
-                       for s in sets[1:]]
+            winners = [_best_user_per_channel(reports, members(m), chans)
+                       for m in range(1, size)]
             batch = solve_cells(net, w, np.array([b for b, _ in winners]),
                                 np.array([r for _, r in winners]), strategy)
-            for s, got in zip(sets[1:], batch):
-                want = solve_cell(net, w, s, reports, strategy)
+            for m, got in zip(range(1, size), batch):
+                want = solve_cell(net, w, members(m), reports, strategy)
                 assert all(_same(getattr(got, f), getattr(want, f))
                            for f in fields)
 
@@ -862,7 +863,7 @@ def test_rounding_can_put_an_entry_above_its_bound():
         for taxed in (True, False):
             ev = Evaluator(_ABOVE, GameMode(strategy=strategy, taxed=taxed))
             cap = ev.utility_bounds()[0][0]
-            u = ev.move_utility(0, frozenset(), 0)
+            u = ev.move_utility(0, 0, 0)
             assert cap < u <= cap + _slack(0.0, cap)
 
 
@@ -876,20 +877,19 @@ def test_single_user_bound_caps_every_entry(case):
     slack."""
     net, reports = case
     n = net.num_users
-    subsets = [frozenset(s) for r in range(n + 1)
-               for s in itertools.combinations(range(n), r)]
     for strategy in STRATEGIES:
         for taxed in (True, False):
             ev = Evaluator(net, GameMode(strategy=strategy, taxed=taxed), reports)
             bounds = ev.utility_bounds()
             for w in range(net.num_bss):
-                for s in subsets:
+                for s in range(1 << n):
                     value = ev.cell(w, s).value
-                    for i in set(range(n)) - s:
-                        cap = bounds[w][i]
-                        assert ev.move_utility(w, s, i) <= cap + _slack(value, cap)
+                    for i in range(n):
+                        if not s >> i & 1:
+                            cap = bounds[w][i]
+                            assert ev.move_utility(w, s, i) <= cap + _slack(value, cap)
                 for i in range(n):
-                    alone = ev.cell(w, frozenset([i]))
+                    alone = ev.cell(w, 1 << i)
                     single = alone.value if taxed else alone.rates[i]
                     cap = bounds[w][i]
                     assert single <= cap + _slack(0.0, cap)

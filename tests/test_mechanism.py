@@ -17,7 +17,8 @@ from ofdma_assoc.mechanism import (AddUsers, RegenerateChannels, RemoveUsers,
                                    update_interference_noise)
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
                                    ScenarioConfig, generate)
-from ofdma_assoc.per_bs_alloc import CA, CAPA, cells_of, solve_capa, solve_cell
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, cells_of, members, solve_capa,
+                                      solve_cell)
 from test_exactness import ref_better_reply_set
 
 
@@ -250,6 +251,20 @@ class TestRun:
             if res.converged:
                 assert not any(windows[:-1])
 
+    def test_memory_one_can_cycle(self):
+        """M=1 is simultaneous better reply: every user with a better reply
+        takes one at once.  Here that cycles with period 2 and never stops,
+        while M=N stops at a NE."""
+        net = generate(ScenarioConfig(num_users=4, num_bss=4, num_channels=16,
+                                      seed=2))
+        res = run(net, 1, 0.0, 400, 2)
+        assert not res.converged and res.iterations == 400
+        profiles = [rec.profile for rec in res.trace]
+        assert profiles[2:] == [(1, 2, 1, 0), (3, 2, 3, 0)] * 199 + [(1, 2, 1, 0)]
+        res = run(net, 4, 0.0, 400, 2)
+        assert res.converged and res.is_ne and res.iterations == 12
+        assert res.profile == (1, 2, 3, 0)
+
     def test_random_instances_converge_to_ne(self, rng):
         for _ in range(25):
             net = random_network(rng, n_users=int(rng.integers(2, 6)),
@@ -462,9 +477,9 @@ class TestInterference:
             net.noise = rng.uniform(0.5, 2.0, size=net.noise.shape)
             a = tuple(int(w) for w in rng.integers(0, net.num_bss, net.num_users))
             g = net.normalized_gain()
-            allocs = {w: solve_capa(net, w, users, g)
-                      for w, users in enumerate(cells_of(net, a))
-                      if users}
+            allocs = {w: solve_capa(net, w, members(mask), g)
+                      for w, mask in enumerate(cells_of(net, a))
+                      if mask}
             expected = reference_interference_noise(net, a, allocs)
             assert np.array_equal(update_interference_noise(net, a, allocs),
                                   expected)
@@ -529,8 +544,8 @@ class TestInterference:
         net = random_network(rng, n_users=4, n_bss=2)
         a = (0, 1, 0, 1)
         g = net.normalized_gain()
-        allocs = {w: solve_capa(net, w, users, g)
-                  for w, users in enumerate(cells_of(net, a))}
+        allocs = {w: solve_capa(net, w, members(mask), g)
+                  for w, mask in enumerate(cells_of(net, a))}
         before = net.noise.copy()
         noise = update_interference_noise(net, a, allocs)
         assert np.array_equal(net.noise, before)
@@ -567,9 +582,10 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
     ev = Evaluator(net, mode)
     mechanism._record(state, ev)
     while state.iteration < max_iter and state.stable < memory_len:
-        allocs = {w: solve_cell(net, w, users, ev.reports, mode.strategy)
-                  for w, users in enumerate(cells_of(net, state.profile))
-                  if users}
+        allocs = {w: solve_cell(net, w, members(mask), ev.reports,
+                                mode.strategy)
+                  for w, mask in enumerate(cells_of(net, state.profile))
+                  if mask}
         noise = update_interference_noise(net, state.profile, allocs)
         ev = Evaluator(net, mode, net.gain / noise)
         reference_step(net, state, mode, ev)
@@ -837,3 +853,46 @@ def test_event_sequences_stay_aligned_and_exact(seed, strategy, taxed, ops):
                 == state.costs.shape[0] == net.num_users)
         assert all(0 <= w < net.num_bss for w in state.profile)
         assert all(0 <= w < net.num_bss for mem in state.memories for w in mem)
+
+
+class TestWideMasks:
+    """At N=72 the member bitmasks of the cells holding users 64..71 are
+    wider than a machine int.  Values pinned before cells were keyed by
+    bitmask."""
+
+    NET = ScenarioConfig(num_users=72, num_bss=8, num_channels=64, seed=3,
+                         distribution_factor=0.2)
+    GREEDY0 = (1, 7, 1, 6, 3, 1, 1, 4, 1, 0, 1, 1, 7, 4, 1, 1, 4, 1, 1, 0, 7, 7,
+               1, 0, 0, 3, 0, 0, 1, 6, 1, 7, 0, 0, 7, 4, 7, 1, 1, 5, 1, 4, 7, 1,
+               6, 2, 7, 0, 6, 6, 1, 0, 1, 1, 1, 0, 1, 6, 4, 7, 7, 7, 0, 1, 1, 4,
+               6, 1, 6, 1, 1, 1)
+    DBSA = (1, 5, 5, 6, 3, 2, 2, 4, 2, 5, 5, 3, 7, 2, 2, 2, 2, 5, 2, 2, 2, 5, 5,
+            2, 2, 3, 2, 5, 5, 3, 2, 5, 5, 0, 2, 5, 5, 5, 5, 5, 2, 5, 5, 5, 5, 2,
+            5, 2, 2, 5, 5, 2, 2, 2, 2, 5, 5, 5, 2, 2, 2, 5, 2, 2, 2, 4, 5, 2, 2,
+            2, 4, 5)
+
+    def test_cells_and_better_replies(self):
+        net, mode = generate(self.NET), GameMode()
+        a = nearest_bs_profile(net)
+        ev = Evaluator(net, mode)
+        cells = cells_of(net, a)
+        assert sum(ev.cell(w, s).value for w, s in enumerate(cells)) == \
+            ev.system_value(a)
+        replies = assoc_game.better_reply_set(net, a, mode, ev)
+        ref = Evaluator(net, mode)
+        assert replies == [ref_better_reply_set(net, a, i, mode, ref)
+                           for i in range(net.num_users)]
+        assert replies[64:] == [[2, 4, 5], [2, 4, 5], [2, 5], [2, 5],
+                                [2, 3, 5], [2, 5], [2, 4, 5], [2, 5]]
+
+    def test_greedy0_and_run(self):
+        net = generate(self.NET)
+        res = greedy0(net)
+        assert (res.profile, res.throughput, res.evaluations) == (
+            self.GREEDY0, 1481938.4247047317, 2521)
+        res = run(net, 3, 0.0, 300, 3)
+        assert (res.profile, res.iterations, res.converged, res.is_ne) == (
+            self.DBSA, 7, True, True)
+        assert [rec.throughput for rec in res.trace] == [
+            1016635.6304097227, 1224941.7166807817] + [1302265.9737856174] * 2 + [
+            1481938.4247047317] * 4

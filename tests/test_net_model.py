@@ -523,14 +523,14 @@ class TestReduction:
         q = len(sat.clauses)
         ev = Evaluator(net, GameMode(strategy="CAPA"))
         y0 = 2 * q          # user index of y for variable 0
-        xs = frozenset(range(q))           # x-users of variable 0
-        assert ev.cell(0, frozenset([y0])).value == pytest.approx(2 * q)
+        xs = (1 << q) - 1                  # x-users 0..q-1 of variable 0
+        assert ev.cell(0, 1 << y0).value == pytest.approx(2 * q)
         assert ev.cell(0, xs).value == pytest.approx(q * math.log2(3))
         # clause BS 0 with any of its gain-1 users
         clause_bs = 2 * sat.num_vars
         lit_user = next(i for i in range(net.num_users)
                         if net.gain[i, net.channels_of_bs[clause_bs][0]] == 1.0)
-        assert ev.cell(clause_bs, frozenset([lit_user])).value == pytest.approx(1.0)
+        assert ev.cell(clause_bs, 1 << lit_user).value == pytest.approx(1.0)
 
 
 # -- JSON round trip over drawn instances -----------------------------------

@@ -341,8 +341,8 @@ def test_subnormal_report_overflows_to_an_unusable_channel():
         full = contenders(net, 0, [0, 1], reports, CAPA,
                           both.held, both.best, both.bound)
         ev = Evaluator(net, mode)
-        value = ev.cell(0, frozenset({0})).value
-        taxed = ev.utility(0, frozenset({0, 1}), 0)
+        value = ev.cell(0, 0b1).value
+        taxed = ev.utility(0, 0b11, 0)
         replies = better_reply_set(net, (0, 0), mode, ev)
         nes = enumerate_nes(net, mode).nes
     assert alone.power.tolist() == [0.0, 1.0]

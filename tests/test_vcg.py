@@ -5,8 +5,9 @@ import pytest
 
 from conftest import random_network
 from ofdma_assoc import fixtures
-from ofdma_assoc.per_bs_alloc import (CA, CAPA, cells_of, realized_rates,
-                                      reported_rates, solve_cell)
+from ofdma_assoc.per_bs_alloc import (CA, CAPA, cells_of, members,
+                                      realized_rates, reported_rates,
+                                      solve_cell)
 from ofdma_assoc.vcg import misreport_search, tax, utility
 
 
@@ -41,8 +42,12 @@ class TestTax:
 class TestCellsOf:
     def test_partitions_users_by_bs(self, rng):
         net = random_network(rng, n_users=5, n_bss=4)
-        assert cells_of(net, [2, 0, 2, 1, 2]) == (
-            frozenset({1}), frozenset({3}), frozenset({0, 2, 4}), frozenset())
+        cells = cells_of(net, [2, 0, 2, 1, 2])
+        assert cells == (0b00010, 0b01000, 0b10101, 0)
+        assert [members(m) for m in cells] == [[1], [3], [0, 2, 4], []]
+
+    def test_members_of_a_mask_wider_than_64_bits(self):
+        assert members((1 << 100) | (1 << 64) | (1 << 63) | 1) == [0, 63, 64, 100]
 
 
 class TestUtility:
@@ -72,8 +77,8 @@ class TestUtility:
                     return net.weight[w] * sum(
                         reported_rates(net, alloc).values())
 
-                users = cells_of(net, a)[w]
-                expected = value(users) - value(users - {i})
+                mask = cells_of(net, a)[w]
+                expected = value(members(mask)) - value(members(mask & ~(1 << i)))
                 got = utility(net, a, i, None, strategy).utility
                 assert got == pytest.approx(expected, abs=1e-12)
 
