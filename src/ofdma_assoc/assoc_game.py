@@ -43,7 +43,7 @@ class CellResult:
     rates: Dict[int, float]       # reported per-user rates
     row: Optional[List[Optional[float]]] = None     # per user utility (`Evaluator._row`)
     # the solve's (held, best, bound) for the row's contenders, kept until it is built
-    solve: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+    solve: Optional[Tuple[List[int], List[float], float]] = None
 
 
 class Evaluator:

@@ -130,10 +130,11 @@ def _record(state: MechanismState, ev: Evaluator) -> None:
 
 
 def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
-         evaluator: Optional[Evaluator] = None) -> None:
+         evaluator: Optional[Evaluator] = None) -> Tuple[Tuple[int, ...], ...]:
     """One synchronized round: every BS re-solves its cell (implicitly via
     the evaluator), then every user simultaneously pushes a better reply
     into its memory and samples its next association from the memory.
+    Returns the round's better replies, per user, of the profile it left.
 
     The round's draws come from one `rng.integers` call, in user order:
     a better reply (only for a user that has one), then a memory slot.
@@ -163,6 +164,7 @@ def step(net: NetworkInstance, state: MechanismState, mode: GameMode,
     state.profile = tuple(next_a)
     state.iteration += 1
     state.stable = state.stable + 1 if state.profile == a else 0
+    return replies
 
 
 @dataclass
@@ -172,6 +174,9 @@ class RunResult:
     converged: bool
     iterations: int
     is_ne: Optional[bool] = None
+    # the first round whose profile had empty better-reply sets under the
+    # run's costs (and, in interference mode, that round's reports)
+    first_ne_round: Optional[int] = None
 
 
 def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[float]],
@@ -195,7 +200,9 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     Each round is one `step` and one `_record`; a profile visited again
     under the same `Evaluator` and costs, in this run or an earlier one on
     the shared `evaluator`, reuses the better replies and trace values the
-    Evaluator keeps (see `step`)."""
+    Evaluator keeps (see `step`).  `first_ne_round` is read from the
+    replies `step` returns, so it costs no solve; it is None when no
+    stepped profile was a NE at the run's costs."""
     if max_iter < memory_len + 1:
         raise InvalidArgumentError("max_iter must be at least M+1")
     if interference and evaluator is not None:
@@ -205,6 +212,7 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     _record(state, ev)
     noise = net.noise             # the noise the round's reports are on
     fixed = False                 # the last refresh left the noise equal
+    first_ne = None
     while state.iteration < max_iter and state.stable < memory_len:
         if interference and not (fixed and state.stable >= 1):
             allocs = {w: solve_cell(net, w, members(mask), ev.reports, mode.strategy)
@@ -214,14 +222,17 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
             if not fixed:
                 noise = new
                 ev = Evaluator(net, mode, net.gain / noise)
-        step(net, state, mode, ev)
+        replies = step(net, state, mode, ev)
+        if first_ne is None and not any(replies):
+            first_ne = state.iteration - 1
         _record(state, ev)
     converged = state.stable >= memory_len
     ne = None
     if converged and not interference:
         ne = is_ne(net, state.profile, mode, ev)
     return RunResult(profile=state.profile, trace=state.trace,
-                     converged=converged, iterations=state.iteration, is_ne=ne)
+                     converged=converged, iterations=state.iteration, is_ne=ne,
+                     first_ne_round=first_ne)
 
 
 def _rows(x: Optional[np.ndarray], keep: List[int]) -> Optional[np.ndarray]:
@@ -296,21 +307,24 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
     co-subcarrier transmit powers of every other BS weighted by the cross
     gains.  Per-BS channel blocks align by position (same conceptual
     subcarrier); a BS whose block is too short to have a channel at some
-    position adds no interference there.  The per-position sums run over
-    the BSs in ascending order."""
+    position adds no interference there.  All BSs' terms come from one
+    (W, n_sub, N) product, and the per-position sums run over the BSs in
+    ascending order (`np.add.accumulate` adds in sequence)."""
+    blocks = net.channels_of_bs
+    n_sub = max(len(chans) for chans in blocks)
+    at = np.zeros((len(blocks), n_sub), dtype=int)   # channel at each position
     pos_of = np.empty(net.num_channels, dtype=int)   # position in its block
-    for chans in net.channels_of_bs:
+    power: List[float] = []       # (W, n_sub) row-major; 0 where nothing sends
+    for w, chans in enumerate(blocks):
+        at[w, :len(chans)] = chans
         pos_of[chans] = np.arange(len(chans))
-    a = np.asarray(a)
-    n_sub = max(len(chans) for chans in net.channels_of_bs)
-    # interf[i, pos]: what user i receives at block position pos from
-    # every BS but its own
-    interf = np.zeros((net.num_users, n_sub))
-    for w, chans in enumerate(net.channels_of_bs):
         alloc = allocations.get(w)
-        if alloc is not None:
-            cross = net.gain[:, chans] * alloc.power
-            cross[a == w] = 0.0       # a user's own BS does not interfere
-            interf[:, :len(chans)] += cross
+        power += [0.0] * len(chans) if alloc is None else alloc.power
+        power += [0.0] * (n_sub - len(chans))
+    # cross[w, pos, i]: what user i receives at block position pos from BS w
+    cross = net.gain.T[at] * np.array(power).reshape(at.shape + (1,))
+    a = np.asarray(a)
+    cross[a, :, np.arange(len(a))] = 0.0   # a user's own BS does not interfere
+    interf = np.add.accumulate(cross, axis=0)[-1]
     serving = net.bs_of_channel() == a[:, None]
-    return net.noise + np.where(serving, interf[:, pos_of], 0.0)
+    return net.noise + np.where(serving, interf[pos_of].T, 0.0)

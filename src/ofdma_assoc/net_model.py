@@ -112,12 +112,12 @@ class NetworkInstance:
             if not self.normalized_gain().max(initial=0.0) < math.inf:
                 raise InvalidArgumentError(
                     "normalized gains |h|^2 / n must be finite")
-        if not (self.budget > 0).all():
-            raise InvalidArgumentError("power budgets must be strictly positive")
-        if not (self.weight >= 0).all():
-            raise InvalidArgumentError("BS weights must be nonnegative")
-        if not (self.bandwidth >= 0).all():
-            raise InvalidArgumentError("bandwidths must be nonnegative")
+        if not ((self.budget > 0) & (self.budget < math.inf)).all():
+            raise InvalidArgumentError("power budgets must be finite and strictly positive")
+        if not _finite_nonnegative(self.weight):
+            raise InvalidArgumentError("BS weights must be finite and nonnegative")
+        if not _finite_nonnegative(self.bandwidth):
+            raise InvalidArgumentError("bandwidths must be finite and nonnegative")
         if not self.tau >= 1.0:
             raise InvalidArgumentError(f"capacity gap must be >= 1, got {self.tau}")
 

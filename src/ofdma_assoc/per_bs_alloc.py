@@ -19,6 +19,11 @@ CA = "CA"
 CAPA = "CAPA"
 STRATEGIES = (CA, CAPA)
 
+# Above this many challenger entries (members after the first, times
+# channels) `_best_user_per_channel` takes one `argmax` instead of its
+# Python loop.
+ARGMAX_ENTRIES = 40
+
 
 class NoUsableChannelError(ValueError):
     """Water-filling over channels that are all unusable (zero gain)."""
@@ -35,36 +40,56 @@ class Allocation:
     variable.  held and bound are what `contenders` reads: the users
     holding a channel that can carry power, and the CAPA admission bound
     on a newcomer's inverse gain (inf under CA).
+
+    beta, power, best and held are Python lists of ints and floats, and
+    channels is the BS's index array.  A cell has a handful of channels,
+    where a NumPy call costs more than the arithmetic it does; the kernel
+    works on Python floats from the report block on, with every operation
+    in NumPy's order (see `_sum`), so each float is the one the array
+    kernel computed.
     """
 
     bs: int
     channels: np.ndarray
-    beta: np.ndarray
-    power: np.ndarray
-    best: np.ndarray
+    beta: List[int]
+    power: List[float]
+    best: List[float]
     water_level: Optional[float] = None
-    held: Optional[np.ndarray] = None
+    held: Optional[List[int]] = None
     bound: float = math.inf
 
 
 def _empty_allocation(net: NetworkInstance, w: int) -> Allocation:
     chans = net.channels_of_bs[w]
-    return Allocation(bs=w, channels=chans,
-                      beta=np.full(len(chans), -1, dtype=int),
-                      power=np.zeros(len(chans)), best=np.zeros(len(chans)),
-                      held=np.zeros(0, dtype=int))
+    k = len(chans)
+    return Allocation(bs=w, channels=chans, beta=[-1] * k, power=[0.0] * k,
+                      best=[0.0] * k, held=[])
 
 
 def _best_user_per_channel(reports: np.ndarray, users: Sequence[int],
-                           chans: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Argmax user (lowest index on ties) and best reported gain per channel."""
+                           chans: np.ndarray) -> Tuple[List[int], List[float]]:
+    """Argmax user (lowest index on ties) and best reported gain per
+    channel.  A later user takes a channel only with a strictly higher
+    report, which is NumPy's first-occurrence argmax.  Beyond
+    `ARGMAX_ENTRIES` challenger entries one `argmax` call is cheaper than
+    the loop, and gives the same lists."""
     users = sorted(users)
     if len(users) == 1:                   # the most common cell: no argmax
-        return np.full(len(chans), users[0]), reports[users[0]].take(chans)
-    rows = np.array(users, dtype=int)
-    sub = reports.take(rows, 0).take(chans, 1)
-    idx = sub.argmax(0)                   # first occurrence = lowest user index
-    return rows.take(idx), sub[idx, np.arange(len(chans))]
+        return [users[0]] * len(chans), reports[users[0]].take(chans).tolist()
+    sub = reports.take(users, 0).take(chans, 1)
+    if (len(users) - 1) * len(chans) > ARGMAX_ENTRIES:
+        idx = sub.argmax(0)
+        return (np.array(users).take(idx).tolist(),
+                sub[idx, np.arange(len(chans))].tolist())
+    rows = sub.tolist()
+    best = rows[0]
+    beta = [users[0]] * len(best)
+    for u, row in zip(users[1:], rows[1:]):
+        for k, r in enumerate(row):
+            if r > best[k]:
+                best[k] = r
+                beta[k] = u
+    return beta, best
 
 
 def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
@@ -76,8 +101,8 @@ def solve_ca(net: NetworkInstance, w: int, users: Iterable[int],
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
     beta, best = _best_user_per_channel(reports, users, chans)
-    # a BS without channels gets an empty power vector, not a 1/0 warning
-    power = np.full(len(chans), net.budget[w] / max(len(chans), 1))
+    # a BS without channels gets an empty power list, not a 1/0 error
+    power = [float(net.budget[w]) / max(len(chans), 1)] * len(chans)
     return Allocation(bs=w, channels=chans, beta=beta, power=power,
                       best=best, held=beta)
 
@@ -93,16 +118,16 @@ class ActiveSet(NamedTuple):
     rejected in turn.
     """
 
-    order: np.ndarray             # stable ascending order of inv
+    order: List[int]              # stable ascending order of inv
     finite: int                   # how many entries are finite
     active: int                   # how many the rule admits
     lam: float                    # water level (nan when none is finite)
     bound: float
 
 
-def _active_set(inv: np.ndarray, budget: float) -> ActiveSet:
-    order = inv.argsort(kind="stable")
-    inv_sorted = inv.take(order).tolist()
+def _active_set(inv: List[float], budget: float) -> ActiveSet:
+    order = sorted(range(len(inv)), key=inv.__getitem__)     # stable
+    inv_sorted = sorted(inv)
     n_fin = bisect.bisect_left(inv_sorted, math.inf)
     if n_fin == 0:
         return ActiveSet(order, 0, 0, math.nan, math.inf)
@@ -121,39 +146,76 @@ def _active_set(inv: np.ndarray, budget: float) -> ActiveSet:
     return ActiveSet(order, n_fin, active, lam, bound)
 
 
-def water_fill(inv_gains: np.ndarray, budget: float,
-               active_set: Optional[ActiveSet] = None) -> Tuple[np.ndarray, float]:
+def _sum(xs: List[float]) -> float:
+    """`np.add.reduce` of the floats `xs`, bit for bit: NumPy's pairwise
+    summation, which `water_fill` renormalizes by.  Under 8 entries it
+    adds them in sequence.  Up to 128 it adds entry j of the longest run of
+    whole blocks of 8 into accumulator j mod 8, combines the eight as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest in sequence.
+    Above 128 it sums the two halves split at the multiple of 8 at or
+    below n // 2 and adds them.  Each total starts from the identity 0.0,
+    which only turns a -0.0 into 0.0."""
+    n = len(xs)
+    if n < 8:
+        s = 0.0
+        for x in xs:
+            s += x
+        return s
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _sum(xs[:h]) + _sum(xs[h:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    m = n - n % 8
+    for i in range(8, m, 8):
+        x0, x1, x2, x3, x4, x5, x6, x7 = xs[i:i + 8]
+        r0 += x0
+        r1 += x1
+        r2 += x2
+        r3 += x3
+        r4 += x4
+        r5 += x5
+        r6 += x6
+        r7 += x7
+    s = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for x in xs[m:]:
+        s += x
+    return s
+
+
+def water_fill(inv_gains: Sequence[float], budget: float,
+               active_set: Optional[ActiveSet] = None) -> Tuple[List[float], float]:
     """Water-filling over parallel channels with effective inverse gains.
 
     Returns powers p_k = max(0, lam - inv_gains[k]) with sum(p) == budget,
     and the water level lam.  Entries may be +inf (unusable channels).
-    A caller that already ran `_active_set` on these inputs passes it.
+    The budget must be finite and positive.  A caller that already ran
+    `_active_set` on these inputs, as a list, passes it.
     """
     budget = float(budget)
-    if budget <= 0:
-        raise InvalidArgumentError("budget must be positive")
-    inv = np.asarray(inv_gains, dtype=float)
+    if not 0 < budget < math.inf:
+        raise InvalidArgumentError(f"budget must be finite and positive, got {budget}")
+    inv = (inv_gains if isinstance(inv_gains, list)
+           else np.asarray(inv_gains, dtype=float).tolist())
     rule = _active_set(inv, budget) if active_set is None else active_set
     if rule.finite == 0:
         raise NoUsableChannelError("all channels have zero gain")
     lam = rule.lam
-    powers = lam - inv
-    np.maximum(powers, 0.0, out=powers)
-    if rule.finite < len(inv):
-        powers[~np.isfinite(inv)] = 0.0
+    powers = [lam - x if x < lam else 0.0 for x in inv]
     # exactness of the budget despite float accumulation
-    s = powers.sum()
+    s = _sum(powers)
     if s > 0:
-        powers *= budget / s
+        scale = budget / s
+        powers = [p * scale for p in powers]
     return powers, lam
 
 
 def _inverse_gains(tau: float, reports: np.ndarray) -> np.ndarray:
-    """tau / r for each report r, of any shape: the one place the kernel
-    computes an inverse gain.  It is +inf where r <= 0 or where tau / r
-    overflows (a subnormal r), so such a channel is unusable, and nothing
-    warns.  Reports all above tau * 1e-300 cannot overflow and are divided
-    at once."""
+    """tau / r for each report r, of any shape: the one place the array
+    paths compute an inverse gain, and the rule `solve_capa` follows on
+    Python floats.  It is +inf where r <= 0 or where tau / r overflows (a
+    subnormal r), so such a channel is unusable, and nothing warns.
+    Reports all above tau * 1e-300 cannot overflow and are divided at
+    once."""
     if reports.min(initial=math.inf) > tau * 1e-300:
         return tau / reports
     with np.errstate(over="ignore"):
@@ -165,19 +227,22 @@ def solve_capa(net: NetworkInstance, w: int, users: Iterable[int],
                reports: np.ndarray) -> Allocation:
     """Best-user channel assignment plus water-filling over the per-channel
     best reported gains.  A cell whose best gains are all zero gets the
-    zero-power allocation (throughput 0) rather than an error."""
+    zero-power allocation (throughput 0) rather than an error.  The inverse
+    gains follow `_inverse_gains`: a Python float division overflows to
+    +inf where NumPy's does."""
     users = sorted(users)
     if not users:
         return _empty_allocation(net, w)
     chans = net.channels_of_bs[w]
     budget = float(net.budget[w])
     beta, best = _best_user_per_channel(reports, users, chans)
-    inv = _inverse_gains(net.tau, best)
+    tau = float(net.tau)
+    inv = [tau / r if r > 0 else math.inf for r in best]
     rule = _active_set(inv, budget)
-    held = beta[rule.order[:rule.active]]
+    held = [beta[j] for j in rule.order[:rule.active]]
     if rule.finite == 0:
         return Allocation(bs=w, channels=chans, beta=beta,
-                          power=np.zeros(len(chans)), best=best, held=held)
+                          power=[0.0] * len(chans), best=best, held=held)
     power, lam = water_fill(inv, budget, rule)
     return Allocation(bs=w, channels=chans, beta=beta, power=power, best=best,
                       water_level=lam, held=held, bound=rule.bound)
@@ -187,53 +252,52 @@ def solve_cells(net: NetworkInstance, w: int, beta: np.ndarray,
                 best: np.ndarray, strategy: str) -> List[Allocation]:
     """`solve_cell` for C non-empty cells of BS w at once, each given by its
     per-channel winners `beta` and their reports `best` ((C, K_w) arrays,
-    as `_best_user_per_channel` returns them; no NaN).  Every field of each
-    Allocation is bit-identical to `solve_cell`'s: under CAPA the inverse
-    gains are `_inverse_gains`' (+inf for a report <= 0 or one whose
-    tau / r overflows), the rows are sorted stably, `cumsum` adds in
+    `_best_user_per_channel`'s lists stacked; no NaN).  Every field of
+    each Allocation is bit-identical to `solve_cell`'s: under CAPA the
+    inverse gains are `_inverse_gains`' (+inf for a report <= 0 or one
+    whose tau / r overflows), the rows are sorted stably, `cumsum` adds in
     sequence as `_active_set` does, the active set is the first k whose
     level lam_k = (budget + csum_k) / k does not cover the next inverse
-    gain, and each row's powers are summed and renormalized on their own,
-    as `water_fill` does."""
+    gain, and each row's powers are summed (`_sum`) and renormalized on
+    their own, as `water_fill` does."""
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
     chans = net.channels_of_bs[w]
-    cells = [(b.copy(), r.copy()) for b, r in zip(beta, best)]
-    if strategy == CA:
-        power = np.full(len(chans), net.budget[w] / len(chans))
-        return [Allocation(bs=w, channels=chans, beta=b, power=power.copy(),
-                           best=r, held=b) for b, r in cells]
+    k_w = len(chans)
     budget = float(net.budget[w])
+    cells = list(zip(beta.tolist(), best.tolist()))
+    if strategy == CA:
+        return [Allocation(bs=w, channels=chans, beta=b, power=[budget / k_w] * k_w,
+                           best=r, held=b) for b, r in cells]
     inv = _inverse_gains(net.tau, best)
     order = inv.argsort(axis=1, kind="stable")
     inv_sorted = np.take_along_axis(inv, order, axis=1)
     finite = np.isfinite(inv_sorted).sum(axis=1)
-    k = np.arange(1, inv.shape[1] + 1)
+    k = np.arange(1, k_w + 1)
     lam = (budget + np.cumsum(inv_sorted, axis=1)) / k
     stop = np.ones(inv.shape, dtype=bool)     # the rule stops at k channels
     stop[:, :-1] = ~(lam[:, :-1] > inv_sorted[:, 1:])
     active = stop.argmax(axis=1) + 1
     rows = np.arange(len(inv))
     level = lam[rows, active - 1]
-    past = inv_sorted[rows, np.minimum(active, inv.shape[1] - 1)]
+    past = inv_sorted[rows, np.minimum(active, k_w - 1)]
     last = inv_sorted[rows, active - 1]
     with np.errstate(invalid="ignore"):       # inf - inf: no finite entry
         power = np.maximum(level[:, None] - inv, 0.0)
     out = []
     for (b, r), o, p, n_fin, n_act, lv, nxt, top in zip(
-            cells, order, power, finite.tolist(), active.tolist(),
-            level.tolist(), past.tolist(), last.tolist()):
+            cells, order.tolist(), power.tolist(), finite.tolist(),
+            active.tolist(), level.tolist(), past.tolist(), last.tolist()):
         if n_fin == 0:
             out.append(Allocation(bs=w, channels=chans, beta=b,
-                                  power=np.zeros(len(chans)), best=r,
-                                  held=b[o[:0]]))
+                                  power=[0.0] * k_w, best=r, held=[]))
             continue
-        p = p.copy()
-        s = p.sum()
+        s = _sum(p)
         if s > 0:
-            p *= budget / s
+            scale = budget / s
+            p = [x * scale for x in p]
         out.append(Allocation(bs=w, channels=chans, beta=b, power=p, best=r,
-                              water_level=lv, held=b[o[:n_act]],
+                              water_level=lv, held=[b[j] for j in o[:n_act]],
                               bound=nxt if n_act < n_fin else max(lv, top)))
     return out
 
@@ -255,10 +319,9 @@ def _rates(net: NetworkInstance, w: int, beta: List[int], powers: List[float],
 def reported_rates(net: NetworkInstance, alloc: Allocation) -> Dict[int, float]:
     """Rates as the BS evaluates them, i.e. from the reports the allocation
     was solved on (`alloc.best`)."""
-    powers = alloc.power.tolist()
-    if max(powers, default=0.0) <= 0:
+    if max(alloc.power, default=0.0) <= 0:
         return {}                         # an empty cell or no usable channel
-    return _rates(net, alloc.bs, alloc.beta.tolist(), powers, alloc.best.tolist())
+    return _rates(net, alloc.bs, alloc.beta, alloc.power, alloc.best)
 
 
 def realized_rates(net: NetworkInstance, alloc: Allocation,
@@ -267,12 +330,11 @@ def realized_rates(net: NetworkInstance, alloc: Allocation,
     Only the allocation's entries of `gain / noise` are divided: the same
     numbers as dividing the whole table first."""
     rates: Dict[int, float] = {}
-    powers = alloc.power.tolist()
-    if max(powers, default=0.0) > 0:      # else an empty cell or no usable channel
-        beta = alloc.beta.tolist()
-        at = (alloc.beta if min(beta) >= 0 else np.maximum(alloc.beta, 0),
+    if max(alloc.power, default=0.0) > 0:     # else an empty cell or no usable channel
+        beta = alloc.beta
+        at = (beta if min(beta) >= 0 else [max(u, 0) for u in beta],
               alloc.channels)
-        rates = _rates(net, alloc.bs, beta, powers,
+        rates = _rates(net, alloc.bs, beta, alloc.power,
                        (net.gain[at] / net.noise[at]).tolist())
     if users is not None:
         for u in users:

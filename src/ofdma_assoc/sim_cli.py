@@ -118,13 +118,15 @@ def _run_point(campaign: Campaign, d: float, cost: float,
             err_rng = np.random.default_rng(seed + 10 ** 6)
             reports = inject_estimation_error(net, cer_db, err_rng)
         ev = Evaluator(net, mode, reports)
+        truth = ev if math.isinf(cer_db) else None   # reports are the true channels
         m = campaign.memory_len or net.num_users
         exhaustive_value = None
         for alg in campaign.algorithms:
             if alg == "dbsa":
                 res = mechanism.run(net, m, cost, campaign.max_iter, seed,
                                     mode=mode, evaluator=ev)
-                per_bs, per_user = _realized(net, res.profile, ev.reports, strategy)
+                per_bs, per_user = _realized(net, res.profile, ev.reports,
+                                             strategy, truth)
                 row.throughput[alg].append(sum(per_bs))
                 row.iterations.append(res.iterations)
                 row.converged.append(res.converged)
@@ -134,7 +136,8 @@ def _run_point(campaign: Campaign, d: float, cost: float,
             elif alg in ("nearest", "greedy0"):
                 search = baselines.nearest_bs if alg == "nearest" else baselines.greedy0
                 res = search(net, strategy, ev)
-                per_bs, _ = _realized(net, res.profile, ev.reports, strategy)
+                per_bs, _ = _realized(net, res.profile, ev.reports, strategy,
+                                      truth)
                 row.throughput[alg].append(sum(per_bs))
             elif alg == "exhaustive":
                 res = baselines.exhaustive_opt(net, strategy, ev)
@@ -149,19 +152,25 @@ def _run_point(campaign: Campaign, d: float, cost: float,
     return row
 
 
-def _realized(net: NetworkInstance, a, reports,
-              strategy) -> Tuple[List[float], List[float]]:
+def _realized(net: NetworkInstance, a, reports, strategy,
+              truth: Optional[Evaluator] = None) -> Tuple[List[float], List[float]]:
     """Weighted realized throughput per BS and realized rate per user, from
-    one solve of each occupied cell."""
+    one solve of each occupied cell.  `truth`, an Evaluator whose reports
+    are the true channels, gives each cell instead: its reported rates are
+    then the realized ones and its value their weighted sum, bit for bit."""
     per_bs = [0.0] * net.num_bss
     per_user = [0.0] * net.num_users
     for w, mask in enumerate(cells_of(net, a)):
         if not mask:
             continue
-        users = members(mask)
-        alloc = solve_cell(net, w, users, reports, strategy)
-        rates = realized_rates(net, alloc, users)
-        per_bs[w] = float(net.weight[w] * sum(rates.values()))
+        if truth is not None:
+            cell = truth.cell(w, mask)
+            per_bs[w], rates = float(cell.value), cell.rates
+        else:
+            users = members(mask)
+            alloc = solve_cell(net, w, users, reports, strategy)
+            rates = realized_rates(net, alloc, users)
+            per_bs[w] = float(net.weight[w] * sum(rates.values()))
         for u, r in rates.items():
             per_user[u] = r
     return per_bs, per_user

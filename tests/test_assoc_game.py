@@ -291,6 +291,7 @@ class TestHalfBoundWitness:
             res = run(net, 2, 0.0, 100, seed, mode)
             assert [rec.profile for rec in res.trace] == [(0, 0)] + [(0, 1)] * 3
             assert res.converged and res.is_ne and res.iterations == 3
+            assert res.first_ne_round == 1
         state = init_state(net, 2, 0.0, 0)
         state.profile = (1, 0)
         step(net, state, mode)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from ofdma_assoc import sim_cli
-from ofdma_assoc.assoc_game import Evaluator
+from ofdma_assoc.assoc_game import Evaluator, GameMode
 from ofdma_assoc.net_model import (InvalidArgumentError, NetworkInstance,
-                                   ScenarioConfig)
+                                   ScenarioConfig, generate)
 from ofdma_assoc.sim_cli import (Campaign, build_parser, main, replay,
                                  run_campaign, write_outputs)
 
@@ -62,6 +62,36 @@ class TestCampaign:
         rows = run_campaign(c)
         assert all(row.error is None for row in rows)
         assert len(built) == c.trials * len(c.d_values) * len(c.cer_values)
+
+    @pytest.mark.parametrize("strategy", ["CA", "CAPA"])
+    def test_realized_reads_true_report_cells(self, strategy, rng):
+        """On the true channels a cell's reported rates are its realized
+        ones, bit for bit, so `_realized` reads the Evaluator's cells,
+        whether it had solved them before or solves them on the read."""
+        for seed in range(10):
+            net = generate(ScenarioConfig(num_users=6, num_bss=3,
+                                          num_channels=24, seed=seed))
+            ev = Evaluator(net, GameMode(strategy))
+            for j in range(4):
+                a = tuple(rng.integers(0, net.num_bss, net.num_users).tolist())
+                if j % 2:
+                    ev.system_value(a)
+                want = sim_cli._realized(net, a, ev.reports, strategy)
+                got = sim_cli._realized(net, a, ev.reports, strategy, ev)
+                assert repr(got) == repr(want)
+
+    def test_true_reports_need_no_realized_solves(self, monkeypatch):
+        """The CER-inf rows of a campaign re-solve no cell for their
+        realized throughput; the CER-0 rows still do."""
+        solves = []
+        solve = sim_cli.solve_cell
+        monkeypatch.setattr(sim_cli, "solve_cell",
+                            lambda *args: solves.append(args) or solve(*args))
+        for cer, resolved in ((math.inf, False), (0.0, True)):
+            solves.clear()
+            rows = run_campaign(small_campaign(cer_values=(cer,)))
+            assert all(row.error is None for row in rows)
+            assert bool(solves) == resolved
 
     def test_sample_counts(self):
         c = small_campaign()

@@ -10,6 +10,7 @@ could change a run.
 import dataclasses
 import itertools
 import math
+import struct
 import warnings
 
 import hypothesis.strategies as st
@@ -26,7 +27,7 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
-                                      cells_of, contenders, members,
+                                      _sum, cells_of, contenders, members,
                                       realized_rates, reported_rates,
                                       solve_cell, solve_cells,
                                       water_fill)
@@ -78,9 +79,8 @@ def ref_solve_capa(net, w, users, reports):
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.where(best > 0, net.tau / np.where(best > 0, best, 1.0), np.inf)
     if not np.isfinite(inv).any():
-        alloc = _empty_allocation(net, w)
-        alloc.beta, alloc.best = beta, best
-        return alloc
+        return Allocation(bs=w, channels=chans, beta=beta,
+                          power=np.zeros(len(chans)), best=best)
     power, lam = ref_water_fill(inv, net.budget[w])
     return Allocation(bs=w, channels=chans, beta=beta, power=power, best=best,
                       water_level=lam)
@@ -164,10 +164,10 @@ INV = st.one_of(st.sampled_from([math.inf, 0.5, 1.0, 1.0, 2.0]),
 
 @st.composite
 def cells(draw):
-    """A one-BS instance with 1-6 users and 1-16 channels, a member set,
+    """A one-BS instance with 1-6 users and 1-40 channels, a member set,
     and a report matrix drawn from GAIN (so zero rows and ties occur)."""
     n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 40))
     gain = np.array(draw(st.lists(st.lists(GAIN, min_size=k, max_size=k),
                                   min_size=n, max_size=n)))
     net = NetworkInstance(
@@ -187,12 +187,12 @@ def test_best_user_matches_reference(cell):
     beta, best = _best_user_per_channel(reports, users, net.channels_of_bs[0])
     ref_beta, ref_best = ref_best_user_per_channel(reports, users,
                                                    net.channels_of_bs[0])
-    assert beta.tolist() == ref_beta.tolist()
-    assert best.tolist() == ref_best.tolist()
+    assert beta == ref_beta.tolist()
+    assert best == ref_best.tolist()
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(INV, min_size=1, max_size=16), st.floats(1e-6, 50.0))
+@given(st.lists(INV, min_size=1, max_size=40), st.floats(1e-6, 50.0))
 def test_water_fill_matches_reference(inv, budget):
     inv = np.array(inv)
     if not np.isfinite(inv).any():
@@ -201,7 +201,7 @@ def test_water_fill_matches_reference(inv, budget):
         return
     powers, lam = water_fill(inv, budget)
     ref_powers, ref_lam = ref_water_fill(inv, budget)
-    assert powers.tolist() == ref_powers.tolist()
+    assert powers == ref_powers.tolist()
     assert lam == ref_lam
 
 
@@ -212,15 +212,77 @@ def test_cell_solves_match_reference(cell):
     reports = net.normalized_gain()
     alloc = solve_cell(net, 0, users, reports, CAPA)
     ref = ref_solve_capa(net, 0, users, reports)
-    assert alloc.beta.tolist() == ref.beta.tolist()
-    assert alloc.power.tolist() == ref.power.tolist()
+    assert alloc.beta == ref.beta.tolist()
+    assert alloc.power == ref.power.tolist()
     assert alloc.water_level == ref.water_level
-    assert alloc.best.tolist() == ref.best.tolist()
+    assert alloc.best == ref.best.tolist()
     for strategy in STRATEGIES:
         alloc = solve_cell(net, 0, users, reports, strategy)
         rates = reported_rates(net, alloc)
         assert list(rates.items()) == list(
             ref_rates_from_alloc(net, alloc, reports).items())
+
+
+def _ordered(n):
+    """n floats whose total depends on the order they are added in."""
+    return [(-1.0) ** j * 10.0 ** (j % 17 - 8) * (1 + j / 7) for j in range(n)]
+
+
+def _bits(x):
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=300))
+@example(_ordered(8))
+@example(_ordered(16))
+@example(_ordered(128))
+@example(_ordered(129))
+@example(_ordered(256))
+@example([-0.0] * 9)
+@example([math.inf, -math.inf] * 8)
+def test_sum_is_numpy_add_reduce(xs):
+    """`_sum`, which renormalizes the water-fill powers, is NumPy's
+    pairwise `np.add.reduce` bit for bit, across the block (8), unrolled
+    (16), single-pass (128) and split (129, 256) boundaries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.add.reduce(np.array(xs, dtype=float))
+    assert _bits(_sum(xs)) == _bits(want)
+
+
+def test_sum_is_numpy_add_reduce_at_every_length():
+    rng = np.random.default_rng(8)
+    for n in range(301):
+        xs = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        assert _bits(_sum(xs.tolist())) == _bits(np.add.reduce(xs))
+
+
+def test_wide_cell_matches_reference():
+    """W=1, K=256: the winners of a cell with several members take the
+    argmax path, and the powers' renormalizing sum splits above 128
+    entries; every field is the NumPy reference's, and the batched
+    solve's, bit for bit."""
+    rng = np.random.default_rng(256)
+    gain = rng.exponential(size=(5, 256))
+    gain[rng.uniform(size=gain.shape) < 0.2] = 0.0
+    net = NetworkInstance(gain=gain, noise=np.ones((5, 256)),
+                          channels_of_bs=[np.arange(256)], budget=[3.0],
+                          weight=[1.0], bandwidth=[180e3], tau=1.5)
+    reports = net.normalized_gain()
+    for users in ([0], [1, 3], [0, 1, 2, 3, 4]):
+        alloc = solve_cell(net, 0, users, reports, CAPA)
+        ref = ref_solve_capa(net, 0, users, reports)
+        assert alloc.beta == ref.beta.tolist()
+        assert alloc.power == ref.power.tolist()
+        assert alloc.water_level == ref.water_level
+        assert alloc.best == ref.best.tolist()
+        assert list(reported_rates(net, alloc).items()) == list(
+            ref_rates_from_alloc(net, alloc, reports).items())
+        for strategy in STRATEGIES:
+            one = solve_cell(net, 0, users, reports, strategy)
+            batch, = solve_cells(net, 0, np.array([one.beta]),
+                                 np.array([one.best]), strategy)
+            assert repr(batch) == repr(one)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +295,7 @@ def test_reported_rates_read_the_solve(cell):
     chans = net.channels_of_bs[0]
     for strategy in STRATEGIES:
         alloc = solve_cell(net, 0, users, reports, strategy)
-        assert alloc.best.tolist() == reports[alloc.beta, chans].tolist()
+        assert alloc.best == reports[alloc.beta, chans].tolist()
         assert list(reported_rates(net, alloc).items()) == list(
             realized_rates(net, alloc).items())
 
@@ -260,8 +322,8 @@ def test_rates_of_empty_and_partial_allocations():
     g = net.normalized_gain()
     empty = _empty_allocation(net, 0)
     assert realized_rates(net, empty) == ref_rates_from_alloc(net, empty, g) == {}
-    partial = Allocation(bs=0, channels=np.arange(3), beta=np.array([-1, 0, 0]),
-                         power=np.ones(3), best=np.array([0.0, 2.0, 3.0]))
+    partial = Allocation(bs=0, channels=np.arange(3), beta=[-1, 0, 0],
+                         power=[1.0] * 3, best=[0.0, 2.0, 3.0])
     assert list(realized_rates(net, partial).items()) == list(
         ref_rates_from_alloc(net, partial, g).items()) == list(
         reported_rates(net, partial).items())

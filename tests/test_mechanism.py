@@ -80,12 +80,15 @@ class TestInit:
 
 def reference_step(net, state, mode, ev):
     """`step` with per-user better-reply queries and one scalar draw per
-    better reply and per memory slot, interleaved user by user."""
+    better reply and per memory slot, interleaved user by user.  Returns
+    the better replies."""
     a = state.profile
     next_a = list(a)
     costs = state.costs.tolist()
+    replies = []
     for i in range(net.num_users):
         br = ref_better_reply_set(net, a, i, mode, ev, costs[i])
+        replies.append(br)
         w_star = br[state.rng.integers(0, len(br))] if br else a[i]
         state.memories[i].appendleft(w_star)
         mem = state.memories[i]
@@ -93,6 +96,7 @@ def reference_step(net, state, mode, ev):
     state.profile = tuple(next_a)
     state.iteration += 1
     state.stable = state.stable + 1 if state.profile == a else 0
+    return replies
 
 
 def _same_state(s1, s2):
@@ -261,9 +265,28 @@ class TestRun:
         assert not res.converged and res.iterations == 400
         profiles = [rec.profile for rec in res.trace]
         assert profiles[2:] == [(1, 2, 1, 0), (3, 2, 3, 0)] * 199 + [(1, 2, 1, 0)]
+        assert res.first_ne_round is None
         res = run(net, 4, 0.0, 400, 2)
         assert res.converged and res.is_ne and res.iterations == 12
         assert res.profile == (1, 2, 3, 0)
+
+    @pytest.mark.parametrize("cost", [0.0, 0.05])
+    def test_first_ne_round_is_the_first_stepped_ne(self, rng, cost):
+        """`first_ne_round` is the first traced profile, among those a
+        round stepped from, with no better reply under the run's costs;
+        reading it changes no trajectory."""
+        mode = GameMode()
+        for _ in range(25):
+            net = random_network(rng, n_users=int(rng.integers(2, 6)),
+                                 n_bss=int(rng.integers(2, 4)))
+            m = int(rng.integers(1, net.num_users + 1))
+            res = run(net, m, cost, 60, int(rng.integers(10 ** 6)), mode)
+            ne = [not any(assoc_game.better_reply_set(
+                      net, rec.profile, mode, margins=[cost] * net.num_users))
+                  for rec in res.trace[:-1]]
+            assert res.first_ne_round == (ne.index(True) if True in ne else None)
+            if res.converged and cost == 0.0:
+                assert res.first_ne_round is not None
 
     def test_random_instances_converge_to_ne(self, rng):
         for _ in range(25):
@@ -484,6 +507,21 @@ class TestInterference:
             assert np.array_equal(update_interference_noise(net, a, allocs),
                                   expected)
 
+    def test_many_bss_sum_in_order(self, rng):
+        """With more than 8 BSs a pairwise sum would regroup the terms;
+        the refresh still adds them in ascending BS order."""
+        for case in range(40):
+            blocks = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(9, 14)))]
+            net = random_network(rng, n_users=int(rng.integers(1, 12)),
+                                 n_bss=len(blocks), chans_per_bs=blocks)
+            net.noise = rng.uniform(0.5, 2.0, size=net.noise.shape)
+            a = tuple(int(w) for w in rng.integers(0, net.num_bss, net.num_users))
+            g = net.normalized_gain()
+            allocs = {w: solve_capa(net, w, members(mask) or [0], g)
+                      for w, mask in enumerate(cells_of(net, a))}
+            assert np.array_equal(update_interference_noise(net, a, allocs),
+                                  reference_interference_noise(net, a, allocs))
+
     def test_single_bs_noise_unchanged(self, rng):
         net = random_network(rng, n_bss=1)
         alloc = solve_capa(net, 0, range(net.num_users), net.normalized_gain())
@@ -581,6 +619,7 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
     state = init_state(net, memory_len, costs, seed)
     ev = Evaluator(net, mode)
     mechanism._record(state, ev)
+    first_ne = None
     while state.iteration < max_iter and state.stable < memory_len:
         allocs = {w: solve_cell(net, w, members(mask), ev.reports,
                                 mode.strategy)
@@ -588,11 +627,12 @@ def reference_interference_run(net, memory_len, costs, max_iter, seed, mode):
                   if mask}
         noise = update_interference_noise(net, state.profile, allocs)
         ev = Evaluator(net, mode, net.gain / noise)
-        reference_step(net, state, mode, ev)
+        if not any(reference_step(net, state, mode, ev)) and first_ne is None:
+            first_ne = state.iteration - 1
         mechanism._record(state, ev)
     return RunResult(profile=state.profile, trace=state.trace,
                      converged=state.stable >= memory_len,
-                     iterations=state.iteration)
+                     iterations=state.iteration, first_ne_round=first_ne)
 
 
 class _Counts:
@@ -689,13 +729,16 @@ def fresh_evaluator_run(net, memory_len, costs, max_iter, seed, mode):
                                  float(sum(per_bs)), per_bs))
 
     record()
+    first_ne = None
     while state.iteration < max_iter and state.stable < memory_len:
-        step(net, state, mode, Evaluator(net, mode))
+        if not any(step(net, state, mode, Evaluator(net, mode))) and first_ne is None:
+            first_ne = state.iteration - 1
         record()
     converged = state.stable >= memory_len
     return RunResult(profile=state.profile, trace=trace, converged=converged,
                      iterations=state.iteration,
-                     is_ne=is_ne(net, state.profile, mode) if converged else None)
+                     is_ne=is_ne(net, state.profile, mode) if converged else None,
+                     first_ne_round=first_ne)
 
 
 def _count_better_replies(monkeypatch):

@@ -70,6 +70,7 @@ class TestNetworkInstance:
         ("budget", math.nan), ("weight", -1.0), ("weight", math.nan),
         ("bandwidth", -1.0), ("bandwidth", math.nan), ("tau", math.nan),
         ("gain", math.nan), ("gain", math.inf), ("noise", math.nan),
+        ("budget", math.inf), ("weight", math.inf), ("bandwidth", math.inf),
     ])
     def test_invalid_numbers_rejected(self, rng, field, value):
         net = random_network(rng)
