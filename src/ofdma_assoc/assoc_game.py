@@ -12,7 +12,10 @@ leaving, and every other entry filled the first time it is asked for.
 `better_reply_set` reads the entries a row holds and asks for another only
 when the user's single-user bound at that BS can clear its bar (see
 `Evaluator.utility_bounds`), so most join cells it cannot win are never
-solved.
+solved.  The bound table and the per-BS report blocks the rows are flagged
+from are the Evaluator's screens; both only loosen as the reports grow, so
+an Evaluator on reports at most another's entrywise may share that one's
+screens and still give every answer a fresh one gives.
 """
 
 import itertools
@@ -23,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .net_model import InvalidArgumentError, NetworkInstance
-from .per_bs_alloc import (CAPA, Allocation, cells_of, contenders, members,
-                           reported_rates, solve_cell, solve_cells)
+from .per_bs_alloc import (CAPA, Allocation, cells_of, contender_block,
+                           contenders, members, reported_rates, solve_cell,
+                           solve_cells)
 
 STRICT_TOL = 1e-12
 ENUM_CAP = 10 ** 7
@@ -44,6 +48,19 @@ class CellResult:
     row: Optional[List[Optional[float]]] = None     # per user utility (`Evaluator._row`)
     # the solve's (held, best, bound) for the row's contenders, kept until it is built
     solve: Optional[Tuple[List[int], List[float], float]] = None
+
+
+class _Screens:
+    """An Evaluator's screens, each built on first use from `reports`: the
+    single-user bound table (`Evaluator.utility_bounds`) and per BS w the
+    `per_bs_alloc.contender_block` its cells' rows are flagged from."""
+
+    __slots__ = ("reports", "bounds", "blocks")
+
+    def __init__(self, reports: np.ndarray):
+        self.reports = reports
+        self.bounds: Optional[List[List[float]]] = None
+        self.blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 class Evaluator:
@@ -78,6 +95,21 @@ class Evaluator:
     built the first time `better_reply_set` needs it, so an Evaluator used
     only for values never pays for it.
 
+    The bound table and the per-BS contender blocks are the Evaluator's
+    screens (`_Screens`).  Built with `screens=source`, an Evaluator of the
+    same net and mode shares `source`'s screens if its reports are at most,
+    entrywise, those the screens were built on (`source`'s own, unless
+    `source` shares another's); reports above them anywhere are refused.
+    Every answer stays the one a fresh Evaluator gives:
+    - U grows with g, so the table on the larger reports still caps every
+      entry, and the screen only asks for more entries.
+    - A non-member's contender test widens as its reports grow (see
+      `per_bs_alloc.contenders`), so a row flags a superset; each entry
+      it flags in excess works out to exactly 0, the value it would have
+      held, and a member's flag comes from the cell's own solve.
+    Only the screens are shared: cells and `_rounds` are the Evaluator's
+    own.
+
     `_rounds` keeps DBSA's rounds (see `mechanism.step`): per profile and
     switching costs, a `[values, replies]` slot of the trace values and
     the better replies, each filled on first use.  With the reports fixed,
@@ -85,12 +117,21 @@ class Evaluator:
     and `is_ne` keep nothing per profile."""
 
     def __init__(self, net: NetworkInstance, mode: GameMode,
-                 reports: Optional[np.ndarray] = None):
+                 reports: Optional[np.ndarray] = None,
+                 screens: Optional["Evaluator"] = None):
         self.net = net
         self.mode = mode
         self.reports = net.reports(reports)
+        if screens is None:
+            self._screens = _Screens(self.reports)
+        elif screens.net is not net or screens.mode != mode:
+            raise InvalidArgumentError("screens must be of this net and mode")
+        elif not (self.reports <= screens._screens.reports).all():
+            raise InvalidArgumentError(
+                "reports exceed those the shared screens were built on")
+        else:
+            self._screens = screens._screens
         self._cache: Dict[Tuple[int, int], CellResult] = {}
-        self._bounds: Optional[List[List[float]]] = None
         self._rounds: Dict[Tuple[Tuple[int, ...], Tuple[float, ...]], List] = {}
 
     def cell(self, w: int, mask: int) -> CellResult:
@@ -111,7 +152,7 @@ class Evaluator:
         for u in users:
             rates.setdefault(u, 0.0)
         res = self._cache[(w, mask)] = CellResult(
-            self.net.weight[w] * sum(rates.values()), rates,
+            float(self.net.weight[w]) * sum(rates.values()), rates,
             solve=(alloc.held, alloc.best, alloc.bound))
         return res
 
@@ -122,10 +163,16 @@ class Evaluator:
         """The utility row of cell (w, mask), whose cached result is
         `res`, built on first use: an exact 0.0 for each user whose joining
         or leaving cannot change the cell (not one of its
-        `per_bs_alloc.contenders`), None for the others until asked."""
+        `per_bs_alloc.contenders`), None for the others until asked.  The
+        flags read the screens' block of BS w (see `Evaluator`)."""
         if res.row is None:
-            flags = contenders(self.net, w, members(mask), self.reports,
-                               self.mode.strategy, *(res.solve or ()))
+            blocks = self._screens.blocks
+            block = blocks.get(w)
+            if block is None:
+                block = blocks[w] = contender_block(
+                    self.net, w, self._screens.reports)
+            flags = contenders(block, members(mask), self.mode.strategy,
+                               *(res.solve or ()))
             res.row = [None if f else 0.0 for f in flags.tolist()]
             res.solve = None
         return res.row
@@ -164,12 +211,13 @@ class Evaluator:
 
     def utility_bounds(self) -> List[List[float]]:
         """The (W, N) table U[w][i] of single-user bounds (see the class
-        docstring), built on first use in one NumPy pass.  A BS without
-        channels caps at 0.  A negative bandwidth, possible only on an
-        instance whose bandwidths were rebound after it was built, voids
-        the argument, and every bound is then +inf."""
-        if self._bounds is None:
-            net, reports = self.net, self.reports
+        docstring) on the screens' reports, built on first use in one NumPy
+        pass.  A BS without channels caps at 0.  A negative bandwidth,
+        possible only on an instance whose bandwidths were rebound after it
+        was built, voids the argument, and every bound is then +inf."""
+        screens = self._screens
+        if screens.bounds is None:
+            net, reports = self.net, screens.reports
             shape = (net.num_bss, net.num_users)
             if not (net.bandwidth >= 0).all():
                 bounds = np.full(shape, math.inf)
@@ -184,8 +232,8 @@ class Evaluator:
                     best * net.budget[:, None] / (k * net.tau))
                 if self.mode.taxed:
                     bounds *= net.weight[:, None]
-            self._bounds = bounds.tolist()
-        return self._bounds
+            screens.bounds = bounds.tolist()
+        return screens.bounds
 
 
 def _eval(net: NetworkInstance, mode: GameMode,
@@ -296,8 +344,9 @@ def enumerate_nes(net: NetworkInstance, mode: GameMode,
     optimum (lexicographic tie-break).
 
     Every profile's system value comes from one table of cell values (see
-    `_profile_values`).  `is_ne` decides each NE; in the taxed game it sees
-    only the profiles that pass the potential screen of `_dominated`."""
+    `_profile_values`), and is reported as a Python float, as cell values
+    are.  `is_ne` decides each NE; in the taxed game it sees only the
+    profiles that pass the potential screen of `_dominated`."""
     n, w_cnt = net.num_users, net.num_bss
     size = w_cnt ** n
     if size > ENUM_CAP:
@@ -318,9 +367,9 @@ def enumerate_nes(net: NetworkInstance, mode: GameMode,
         if value > best_value + STRICT_TOL:
             best_profile, best_value = a, value
         if survivor and is_ne(net, a, mode, ev):
-            nes.append((a, value))
+            nes.append((a, float(value)))
     return EnumerationResult(nes=nes, optimum=best_profile,
-                             optimum_value=best_value)
+                             optimum_value=float(best_value))
 
 
 def _profile_values(ev: Evaluator, n: int,

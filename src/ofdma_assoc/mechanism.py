@@ -10,7 +10,8 @@ constant for M+1 consecutive iterations.
 import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -187,7 +188,11 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
     reached.  With `interference`, each BS round acts on new reports: the
     users' noise is refreshed from the other cells' latest power
     allocations, `net.noise` being the floor, and the round's `Evaluator`
-    is built on `net` with reports `net.gain / noise`.  The refreshed noise
+    is built on `net` with reports `net.gain / noise`.  Interference only
+    adds noise, so those reports are at most the floor's, and each round's
+    Evaluator shares the screens of the first, on the floor's reports (see
+    `Evaluator`); the instance's geometry the refresh reads is gathered
+    once per run (`_interference_geometry`).  The refreshed noise
     is a local of the run; `net` is never written.  A refresh that leaves
     the noise equal keeps the round's `Evaluator` (same reports); after
     such a fixed point, a round whose profile did not change skips the
@@ -207,9 +212,10 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
         raise InvalidArgumentError("max_iter must be at least M+1")
     if interference and evaluator is not None:
         raise InvalidArgumentError("interference mode takes no evaluator")
-    ev = _eval(net, mode, evaluator)
+    ev = floor = _eval(net, mode, evaluator)
     state = init_state(net, memory_len, costs, seed)
     _record(state, ev)
+    geometry = _interference_geometry(net) if interference else None
     noise = net.noise             # the noise the round's reports are on
     fixed = False                 # the last refresh left the noise equal
     first_ne = None
@@ -217,11 +223,12 @@ def run(net: NetworkInstance, memory_len: int, costs: Union[float, Sequence[floa
         if interference and not (fixed and state.stable >= 1):
             allocs = {w: solve_cell(net, w, members(mask), ev.reports, mode.strategy)
                       for w, mask in enumerate(cells_of(net, state.profile)) if mask}
-            new = update_interference_noise(net, state.profile, allocs)
+            new = update_interference_noise(net, state.profile, allocs,
+                                            geometry)
             fixed = np.array_equal(new, noise)
             if not fixed:
                 noise = new
-                ev = Evaluator(net, mode, net.gain / noise)
+                ev = Evaluator(net, mode, net.gain / noise, screens=floor)
         replies = step(net, state, mode, ev)
         if first_ne is None and not any(replies):
             first_ne = state.iteration - 1
@@ -300,8 +307,31 @@ def apply_event(net: NetworkInstance, state: MechanismState,
     return new_net
 
 
+class _Geometry(NamedTuple):
+    """What `update_interference_noise` reads of the instance alone.
+    `cross_gain[w, pos, i]` is user i's gain on BS w's channel at block
+    position pos; past the end of a short block it reads channel 0, which
+    the refresh weights by a power of 0."""
+    cross_gain: np.ndarray        # (W, n_sub, N)
+    pos_of: np.ndarray            # (K,) each channel's position in its block
+    owner: np.ndarray             # (K,) each channel's BS
+
+
+def _interference_geometry(net: NetworkInstance) -> _Geometry:
+    blocks = net.channels_of_bs
+    n_sub = max(len(chans) for chans in blocks)
+    at = np.zeros((len(blocks), n_sub), dtype=int)   # channel at each position
+    pos_of = np.empty(net.num_channels, dtype=int)
+    for w, chans in enumerate(blocks):
+        at[w, :len(chans)] = chans
+        pos_of[chans] = np.arange(len(chans))
+    return _Geometry(net.gain.T[at], pos_of, net.bs_of_channel())
+
+
 def update_interference_noise(net: NetworkInstance, a: Sequence[int],
-                              allocations: Dict[int, Allocation]) -> np.ndarray:
+                              allocations: Dict[int, Allocation],
+                              geometry: Optional[_Geometry] = None
+                              ) -> np.ndarray:
     """The refreshed noise entries, `net` left unchanged: the floor
     `net.noise` plus, on each of the serving BS's channels, the
     co-subcarrier transmit powers of every other BS weighted by the cross
@@ -309,22 +339,21 @@ def update_interference_noise(net: NetworkInstance, a: Sequence[int],
     subcarrier); a BS whose block is too short to have a channel at some
     position adds no interference there.  All BSs' terms come from one
     (W, n_sub, N) product, and the per-position sums run over the BSs in
-    ascending order (`np.add.accumulate` adds in sequence)."""
-    blocks = net.channels_of_bs
-    n_sub = max(len(chans) for chans in blocks)
-    at = np.zeros((len(blocks), n_sub), dtype=int)   # channel at each position
-    pos_of = np.empty(net.num_channels, dtype=int)   # position in its block
+    ascending order (`np.add.accumulate` adds in sequence).  `a` must be a
+    profile `cells_of` takes; `geometry` is `_interference_geometry(net)`,
+    gathered here when not given."""
+    cells_of(net, a)
+    cross_gain, pos_of, owner = geometry or _interference_geometry(net)
+    n_sub = cross_gain.shape[1]
     power: List[float] = []       # (W, n_sub) row-major; 0 where nothing sends
-    for w, chans in enumerate(blocks):
-        at[w, :len(chans)] = chans
-        pos_of[chans] = np.arange(len(chans))
+    for w, chans in enumerate(net.channels_of_bs):
         alloc = allocations.get(w)
         power += [0.0] * len(chans) if alloc is None else alloc.power
         power += [0.0] * (n_sub - len(chans))
     # cross[w, pos, i]: what user i receives at block position pos from BS w
-    cross = net.gain.T[at] * np.array(power).reshape(at.shape + (1,))
+    cross = cross_gain * np.array(power).reshape(cross_gain.shape[:2] + (1,))
     a = np.asarray(a)
     cross[a, :, np.arange(len(a))] = 0.0   # a user's own BS does not interfere
     interf = np.add.accumulate(cross, axis=0)[-1]
-    serving = net.bs_of_channel() == a[:, None]
+    serving = owner == a[:, None]
     return net.noise + np.where(serving, interf[pos_of].T, 0.0)

@@ -351,10 +351,17 @@ def solve_cell(net: NetworkInstance, w: int, users: Iterable[int],
     raise InvalidArgumentError(f"unknown strategy {strategy!r}")
 
 
-def contenders(net: NetworkInstance, w: int, users: Iterable[int],
-               reports: np.ndarray, strategy: str,
-               held: Optional[np.ndarray] = None,
-               best: Optional[np.ndarray] = None,
+def contender_block(net: NetworkInstance, w: int,
+                    reports: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """What `contenders` reads of BS w on `reports`: the (N, K_w) report
+    block of its channels and the block's `_inverse_gains`."""
+    sub = reports[:, net.channels_of_bs[w]]
+    return sub, _inverse_gains(net.tau, sub)
+
+
+def contenders(block: Tuple[np.ndarray, np.ndarray], users: Iterable[int],
+               strategy: str, held: Optional[List[int]] = None,
+               best: Optional[List[float]] = None,
                bound: float = math.inf) -> np.ndarray:
     """(N,) bool: the users whose arrival in cell w (non-members) or
     departure from it (members of `users`) can change the cell.  For any
@@ -362,31 +369,37 @@ def contenders(net: NetworkInstance, w: int, users: Iterable[int],
     same reported rate, in the same order, and the user itself rate 0; so
     the cell value is bit-identical and the user's marginal value is 0.
 
-    `held`, `best` and `bound` are those of the cell's solve on `reports`
-    (see `Allocation`); an empty cell needs none.  A member contends if it
-    holds a channel that carries power: under CA any channel, under CAPA a
-    channel the water-fill admitted (its power may still round to 0).  A
-    non-member contends if on some channel its report reaches the best
-    member report (ties count: the lowest index wins them) and, under CAPA,
-    its inverse gain is below the admission bound, so that the admitted
-    prefix, its running sum, lam and every power would change.  In an empty
-    cell a user contends if it has a positive report (CA) or a finite
-    inverse gain (CAPA).  Inverse gains are `_inverse_gains`', as in the
-    solve: +inf for a report <= 0 or one whose tau / r overflows, so under
-    CAPA such a report never makes a non-member contend.
+    `block` is BS w's `contender_block` on the reports, and `held`, `best`
+    and `bound` are those of the cell's solve on them (see `Allocation`);
+    an empty cell needs none.  A member contends if it holds a channel that
+    carries power: under CA any channel, under CAPA a channel the
+    water-fill admitted (its power may still round to 0).  A non-member
+    contends if on some channel its report reaches the best member report
+    (ties count: the lowest index wins them) and, under CAPA, its inverse
+    gain is below the admission bound, so that the admitted prefix, its
+    running sum, lam and every power would change.  In an empty cell a
+    user contends if it has a positive report (CA) or a finite inverse
+    gain (CAPA).  Inverse gains are `_inverse_gains`', as in the solve:
+    +inf for a report <= 0 or one whose tau / r overflows, so under CAPA
+    such a report never makes a non-member contend.
+
+    Every non-member test only widens as the block's reports grow, and
+    `_inverse_gains` only falls.  So a block taken from reports at least
+    the solve's entrywise flags a superset of the non-members, each extra
+    one a user whose entry works out to exactly 0 by the argument above;
+    members are flagged from the solve alone.
     """
     if strategy not in STRATEGIES:
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    sub = reports[:, net.channels_of_bs[w]]
+    sub, inv = block
     users = list(users)
     if not users:
         if strategy == CA:
             return (sub > 0).any(axis=1)
-        return (_inverse_gains(net.tau, sub) < math.inf).any(axis=1)
+        return (inv < math.inf).any(axis=1)
     if strategy == CA:
         flags = (sub >= best).any(axis=1)
     else:
-        inv = _inverse_gains(net.tau, sub)
         flags = ((sub >= best) & (inv < bound)).any(axis=1)
     flags[users] = False
     flags[held] = True

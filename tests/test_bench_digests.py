@@ -21,7 +21,7 @@ SETUP_REPS = 3                  # as in bench/run.py
 DIGESTS = {
     "dbsa_indoor": "9654834f6c3452d8a9e5991607faabb4a31eaa5578cdbcf842403dc78fe389c8",
     "dbsa_interference": "81c705801e30da6319bb3b3f36237c27680136abd5d16a4a9407bc6684ea468d",
-    "oracles": "862b0797c7e687369cdd9b83aca8f25b103930eaea672e6b613e887ae616ffc8",
+    "oracles": "1562ba7e2de65ad4b0cc0ede07d07a717c46dcbb169a2c3b84e9f2f1d01fce13",
     "campaign": "c0871e621fc0a1572208150ffb2ce73752cf30e033e4f11b0586bf46991c1064",
 }
 

@@ -27,7 +27,8 @@ from ofdma_assoc.per_bs_alloc import (CA, CAPA, STRATEGIES, Allocation,
                                       NoUsableChannelError,
                                       _best_user_per_channel,
                                       _empty_allocation, _inverse_gains,
-                                      _sum, cells_of, contenders, members,
+                                      _sum, cells_of, contender_block,
+                                      contenders, members,
                                       realized_rates, reported_rates,
                                       solve_cell, solve_cells,
                                       water_fill)
@@ -149,7 +150,7 @@ def ref_contenders(net, w, users, reports, strategy):
 def solve_contenders(net, w, members, reports, strategy):
     """`contenders` fed from the cell's own solve."""
     alloc = solve_cell(net, w, members, reports, strategy)
-    return contenders(net, w, members, reports, strategy,
+    return contenders(contender_block(net, w, reports), members, strategy,
                       alloc.held, alloc.best, alloc.bound)
 
 
@@ -1032,3 +1033,75 @@ def test_screen_solves_fewer_cells(monkeypatch):
     before, counts.solves = counts.solves, 0
     assert assoc_game.better_reply_set(net, a, mode, Evaluator(net, mode)) == full
     assert 0 < counts.solves < before
+
+
+# -- shared screens: an Evaluator on reports below another's ---------------
+
+# added noise per entry; 0 leaves an entry at the source's report
+NOISE = st.sampled_from([0.0, 0.0, 0.0, 0.25, 1.0, 3.0, 1e3, 1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_nets(), st.data())
+def test_shared_screens_answer_as_a_fresh_evaluator(net, data):
+    """Reports lowered by nonnegative noise on any entries, serving or
+    not: an Evaluator sharing the screens of one on the unlowered reports
+    gives the better replies, with and without margins, the utilities and
+    the cell values of a fresh Evaluator on the lowered reports."""
+    n, k = net.gain.shape
+    mode = GameMode(strategy=data.draw(st.sampled_from(STRATEGIES)),
+                    taxed=data.draw(st.booleans()))
+    noise = 1.0 + np.array(data.draw(st.lists(
+        st.lists(NOISE, min_size=k, max_size=k), min_size=n, max_size=n)))
+    reports = net.gain / noise
+    source = Evaluator(net, mode)
+    profiles = st.tuples(*[st.integers(0, net.num_bss - 1)] * n)
+    if data.draw(st.booleans()):  # the source builds some screens first
+        assoc_game.better_reply_set(net, data.draw(profiles), mode, source)
+    shared = Evaluator(net, mode, reports, screens=source)
+    fresh = Evaluator(net, mode, reports)
+    for a in data.draw(st.lists(profiles, min_size=1, max_size=4)):
+        margins = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1.0]),
+                                     min_size=n, max_size=n))
+        for m in (None, margins):
+            assert assoc_game.better_reply_set(net, a, mode, shared, m) == \
+                assoc_game.better_reply_set(net, a, mode, fresh, m)
+        assert repr(shared.utilities(a)) == repr(fresh.utilities(a))
+    for (w, mask), res in shared._cache.items():
+        want = fresh.cell(w, mask)
+        assert repr((res.value, res.rates)) == repr((want.value, want.rates))
+
+
+def test_shared_screen_flags_a_superset_that_resolves_to_zero():
+    """User 1 reports 2 on BS 0's one channel at the source and 0.5 after
+    the noise, below member 0's 1: the shared row flags it and solves the
+    joined cell, the fresh row flags it out; both give the entry 0."""
+    net = NetworkInstance(gain=[[1.0, 1.0], [2.0, 1.0]], noise=np.ones((2, 2)),
+                          channels_of_bs=[[0], [1]], budget=[1.0, 1.0],
+                          weight=[1.0, 1.0], bandwidth=[1.0, 1.0], tau=1.0)
+    reports = np.array([[1.0, 1.0], [0.5, 1.0]])
+    for strategy in STRATEGIES:
+        mode = GameMode(strategy=strategy)
+        shared = Evaluator(net, mode, reports, screens=Evaluator(net, mode))
+        fresh = Evaluator(net, mode, reports)
+        assert shared.move_utility(0, 0b01, 1) == 0.0
+        assert fresh.move_utility(0, 0b01, 1) == 0.0
+        assert (0, 0b11) in shared._cache and (0, 0b11) not in fresh._cache
+
+
+def test_shared_screens_refuse_higher_reports_or_another_game():
+    net = _generated(4, 2, 8, 1, 47)[0]
+    mode = GameMode()
+    source = Evaluator(net, mode, net.normalized_gain() / 2)
+    Evaluator(net, mode, source.reports, screens=source)
+    higher = source.reports.copy()
+    higher[3, 5] = np.nextafter(higher[3, 5], math.inf)
+    with pytest.raises(InvalidArgumentError, match="exceed"):
+        Evaluator(net, mode, higher, screens=source)
+    with pytest.raises(InvalidArgumentError, match="exceed"):
+        Evaluator(net, mode, screens=source)    # the true gains: twice as high
+    for other_net, other_mode in ((dataclasses.replace(net), mode),
+                                  (net, GameMode(taxed=False)),
+                                  (net, GameMode(strategy=CA))):
+        with pytest.raises(InvalidArgumentError, match="net and mode"):
+            Evaluator(other_net, other_mode, source.reports, screens=source)

@@ -577,6 +577,22 @@ class TestInterference:
         assert noise[0, 1] == 1.0
         assert noise[1, 2] == pytest.approx(1.0 + 0.3 * allocs[0].power[0])
 
+    @pytest.mark.parametrize("a, match", [
+        ((-1, 1, 0, 1), "user 0 has BS index -1"),
+        ((0, 2, 0, 1), "user 1 has BS index 2"),
+        ((0, 1, 0), "3 entries for 4 users")])
+    def test_refuses_what_cells_of_refuses(self, rng, a, match):
+        """A negative BS index once read the floor noise for its user, an
+        index past the last BS raised IndexError and a short profile a
+        bare ValueError; each is now refused as `cells_of` refuses it."""
+        net = random_network(rng, n_users=4, n_bss=2)
+        g = net.normalized_gain()
+        allocs = {w: solve_capa(net, w, [w], g) for w in range(2)}
+        for call in (lambda: cells_of(net, a),
+                     lambda: update_interference_noise(net, a, allocs)):
+            with pytest.raises(InvalidArgumentError, match=match):
+                call()
+
     def test_refresh_leaves_caller_noise(self, rng):
         """A direct call returns the refreshed noise; `net` is unchanged."""
         net = random_network(rng, n_users=4, n_bss=2)
@@ -713,6 +729,53 @@ class TestInterferenceFixedPoints:
         assert res.converged and res.iterations == 3
         assert (counts.evaluators, counts.refreshes, counts.solves) == (1, 1, 2)
         assert res == reference_interference_run(net, 3, 0.0, 30, 1, GameMode())
+
+
+class TestSharedScreens:
+    def test_run_solves_and_flags_as_with_own_screens(self, monkeypatch):
+        """At the `dbsa_interference` size (N=10/W=8/K=64, M=4), rounds
+        that share the floor's screens give the run results, solve the
+        cells and build the rows that rounds building their own screens
+        do, from fewer contender blocks."""
+        counts = dict.fromkeys(("solves", "rows", "blocks"), 0)
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(assoc_game, "solve_cell",
+                            counting("solves", solve_cell))
+        monkeypatch.setattr(assoc_game, "contenders",
+                            counting("rows", assoc_game.contenders))
+        monkeypatch.setattr(assoc_game, "contender_block",
+                            counting("blocks", assoc_game.contender_block))
+        nets = [generate(ScenarioConfig(
+                    num_users=10, num_bss=8, num_channels=64,
+                    distribution_factor=(0.2, 0.5, 0.8)[j % 3], seed=2000 + j))
+                for j in range(12)]
+
+        def tally():
+            out = []
+            for j, net in enumerate(nets):
+                counts.update(solves=0, rows=0, blocks=0)
+                res = run(net, 4, 0.0, 30, seed=j, interference=True)
+                out.append((res, counts["solves"], counts["rows"],
+                            counts["blocks"]))
+            return out
+
+        shared = tally()
+
+        class OwnScreens(Evaluator):
+            def __init__(self, net, mode, reports=None, screens=None):
+                super().__init__(net, mode, reports)
+
+        monkeypatch.setattr(mechanism, "Evaluator", OwnScreens)
+        own = tally()
+        assert [x[:3] for x in shared] == [x[:3] for x in own]
+        assert sum(x[2] for x in own) > 0
+        assert sum(x[3] for x in shared) < sum(x[3] for x in own)
 
 
 def fresh_evaluator_run(net, memory_len, costs, max_iter, seed, mode):

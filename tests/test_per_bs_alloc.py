@@ -12,7 +12,8 @@ from ofdma_assoc.assoc_game import (Evaluator, GameMode, better_reply_set,
 from ofdma_assoc.net_model import InvalidArgumentError, NetworkInstance
 from ofdma_assoc.per_bs_alloc import (CA, CAPA, Allocation,
                                       NoUsableChannelError, cells_of,
-                                      contenders, realized_rates,
+                                      contender_block, contenders,
+                                      realized_rates,
                                       reported_rates, solve_ca, solve_capa,
                                       solve_cell, solve_cells, water_fill)
 from ofdma_assoc.sim_cli import _realized
@@ -345,8 +346,9 @@ def test_subnormal_report_overflows_to_an_unusable_channel():
         both = solve_cell(net, 0, [0, 1], reports, CAPA)
         batch = solve_cells(net, 0, np.array([alone.beta, both.beta]),
                             np.array([alone.best, both.best]), CAPA)
-        empty = contenders(net, 0, [], reports, CAPA)
-        full = contenders(net, 0, [0, 1], reports, CAPA,
+        block = contender_block(net, 0, reports)
+        empty = contenders(block, [], CAPA)
+        full = contenders(block, [0, 1], CAPA,
                           both.held, both.best, both.bound)
         ev = Evaluator(net, mode)
         value = ev.cell(0, 0b1).value
